@@ -2,8 +2,9 @@
 /// \file core_sweep.hpp
 /// \brief The core-layer sweep: the six scalar ops of the paper's
 /// Figures 2-7 and six level-uniform BatchOps<R> kernels over one set of
-/// quadrants, each call wrapped in its own span.
+/// quadrants, in cache blocks, with a per-op clock for the traced run.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -43,6 +44,13 @@ inline void touch(std::uint64_t& sink, const T* out, std::size_t n) {
 
 inline constexpr std::size_t kCoreOps = 12;
 
+/// Quadrants per cache block. The sweep applies all twelve ops to one
+/// block before it moves to the next, so the block's inputs and outputs
+/// (at most about 320 KiB) stay in the core's own L2 and the step measures
+/// the ops, not how much of the shared L3 and memory bandwidth other
+/// processes on the host leave free.
+inline constexpr std::size_t kBlock = 4096;
+
 /// One quadrant set prepared for the sweep: per-item inputs for the
 /// scalar ops plus a copy grouped by (level, interior face) — the level-
 /// uniform spans the batch kernels require.
@@ -55,6 +63,13 @@ struct CoreSet {
     std::size_t begin;
     std::size_t end;
   };
+  /// At most kBlock quadrants of one level of `grouped`, and the
+  /// [face_begin, face_end) entries of `face_pieces` that split it by face.
+  struct Block {
+    Range level;
+    std::size_t face_begin;
+    std::size_t face_end;
+  };
 
   std::vector<WorkItem> items;
   std::vector<quad_t> quads;     ///< parallel to items
@@ -62,8 +77,13 @@ struct CoreSet {
   std::vector<morton_t> grouped_index;  ///< level index, parallel to grouped
   std::vector<Range> levels;     ///< whole-level ranges of grouped
   std::vector<Range> faces;      ///< (level, face) ranges of grouped
+  std::vector<Block> blocks;     ///< levels cut into cache blocks
+  std::vector<Range> face_pieces;  ///< faces cut at the block boundaries
   std::vector<quad_t> out;
   std::vector<std::int64_t> ox, oy, oz;
+  /// Nanoseconds per op of the last sweep, summed over its blocks; only
+  /// filled while the span log is on.
+  std::array<std::int64_t, kCoreOps> op_ns{};
 
   static CoreSet build(std::vector<WorkItem> items_in) {
     CoreSet s;
@@ -92,13 +112,11 @@ struct CoreSet {
       s.grouped[slot] = s.quads[i];
       s.grouped_index[slot] = it.level_index;
     }
-    std::size_t widest = 0;
     for (int l = 0; l <= max_level; ++l) {
       const std::size_t lb = start[static_cast<std::size_t>(l) * kFaceIds];
       const std::size_t le = start[static_cast<std::size_t>(l + 1) * kFaceIds];
       if (le > lb) {
         s.levels.push_back({l, -1, lb, le});
-        widest = std::max(widest, le - lb);
       }
       for (int f = 0; f < kFaceIds; ++f) {
         const std::size_t k = static_cast<std::size_t>(l) * kFaceIds + f;
@@ -107,10 +125,24 @@ struct CoreSet {
         }
       }
     }
-    s.out.resize(widest);
-    s.ox.resize(widest);
-    s.oy.resize(widest);
-    s.oz.resize(widest);
+    for (const Range& lv : s.levels) {
+      for (std::size_t b = lv.begin; b < lv.end; b += kBlock) {
+        const std::size_t e = std::min(lv.end, b + kBlock);
+        Block blk{{lv.level, -1, b, e}, s.face_pieces.size(), 0};
+        for (const Range& fr : s.faces) {
+          if (fr.level == lv.level && fr.begin < e && fr.end > b) {
+            s.face_pieces.push_back(
+                {fr.level, fr.face, std::max(fr.begin, b), std::min(fr.end, e)});
+          }
+        }
+        blk.face_end = s.face_pieces.size();
+        s.blocks.push_back(blk);
+      }
+    }
+    s.out.resize(kBlock);
+    s.ox.resize(kBlock);
+    s.oy.resize(kBlock);
+    s.oz.resize(kBlock);
     return s;
   }
 
@@ -147,8 +179,8 @@ struct CoreSet {
   }
 };
 
-/// Span names of the sweep, in sweep order (also the metric stems).
-inline constexpr std::array<const char*, kCoreOps> kCoreSpanNames = {
+/// Op names of the sweep, in sweep order (also the metric stems).
+inline constexpr std::array<const char*, kCoreOps> kCoreOpNames = {
     "core.morton_quadrant",   "core.child",
     "core.face_neighbor",     "core.parent",
     "core.sibling",           "core.tree_boundaries",
@@ -156,112 +188,118 @@ inline constexpr std::array<const char*, kCoreOps> kCoreSpanNames = {
     "core.batch.sibling",     "core.batch.face_neighbor",
     "core.batch.neighbor_offset", "core.batch.morton_quadrant"};
 
-/// One sweep of all twelve ops; returns the representation-native sink.
+/// Per-op clock of a blocked sweep: lap(op) charges the time since the
+/// previous lap to op. Off (no clock reads) unless the span log is on.
+class OpClock {
+ public:
+  explicit OpClock(std::array<std::int64_t, kCoreOps>& acc)
+      : acc_(acc), on_(span_log().enabled()) {
+    acc_.fill(0);
+  }
+  void start() {
+    if (on_) {
+      t_ = qforest::obs::trace_clock_ns();
+    }
+  }
+  void lap(std::size_t op) {
+    if (on_) {
+      const std::int64_t now = qforest::obs::trace_clock_ns();
+      acc_[op] += now - t_;
+      t_ = now;
+    }
+  }
+
+ private:
+  std::array<std::int64_t, kCoreOps>& acc_;
+  bool on_;
+  std::int64_t t_ = 0;
+};
+
+/// One sweep of all twelve ops, block by block (kBlock); returns the
+/// representation-native sink. The six scalar ops run over the items in
+/// their original order, the six batch kernels over the level-grouped
+/// copy. One span covers each half; per-op times go to s.op_ns.
 template <class R>
 std::uint64_t core_sweep(CoreSet<R>& s) {
   using B = qforest::BatchOps<R>;
   std::uint64_t sink = 0;
+  OpClock clock(s.op_ns);
   const std::size_t n = s.quads.size();
   const auto& it = s.items;
   const auto& q = s.quads;
   {
-    const Span sp(kCoreSpanNames[0]);
-    for (std::size_t i = 0; i < n; ++i) {
-      fold(sink, R::morton_quadrant(it[i].level_index, it[i].level));
-    }
-  }
-  {
-    const Span sp(kCoreSpanNames[1]);
-    for (std::size_t i = 0; i < n; ++i) {
-      fold(sink, R::child(q[i], it[i].child));
-    }
-  }
-  {
-    const Span sp(kCoreSpanNames[2]);
-    for (std::size_t i = 0; i < n; ++i) {
-      fold(sink, R::face_neighbor(q[i], it[i].interior_face));
-    }
-  }
-  {
-    const Span sp(kCoreSpanNames[3]);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (it[i].level > 0) {
-        fold(sink, R::parent(q[i]));
+    const Span sp("core.scalar_ops");
+    for (std::size_t b = 0; b < n; b += kBlock) {
+      const std::size_t e = std::min(n, b + kBlock);
+      clock.start();
+      for (std::size_t i = b; i < e; ++i) {
+        fold(sink, R::morton_quadrant(it[i].level_index, it[i].level));
       }
-    }
-  }
-  {
-    const Span sp(kCoreSpanNames[4]);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (it[i].level > 0) {
-        fold(sink, R::sibling(q[i], it[i].child));
+      clock.lap(0);
+      for (std::size_t i = b; i < e; ++i) {
+        fold(sink, R::child(q[i], it[i].child));
       }
-    }
-  }
-  {
-    const Span sp(kCoreSpanNames[5]);
-    int tb[3];
-    for (std::size_t i = 0; i < n; ++i) {
-      R::tree_boundaries(q[i], tb);
-      sink ^= static_cast<std::uint64_t>(tb[0] + 1) |
-              static_cast<std::uint64_t>(tb[1] + 1) << 8 |
-              static_cast<std::uint64_t>(tb[2] + 1) << 16;
+      clock.lap(1);
+      for (std::size_t i = b; i < e; ++i) {
+        fold(sink, R::face_neighbor(q[i], it[i].interior_face));
+      }
+      clock.lap(2);
+      for (std::size_t i = b; i < e; ++i) {
+        if (it[i].level > 0) {
+          fold(sink, R::parent(q[i]));
+        }
+      }
+      clock.lap(3);
+      for (std::size_t i = b; i < e; ++i) {
+        if (it[i].level > 0) {
+          fold(sink, R::sibling(q[i], it[i].child));
+        }
+      }
+      clock.lap(4);
+      int tb[3];
+      for (std::size_t i = b; i < e; ++i) {
+        R::tree_boundaries(q[i], tb);
+        sink ^= static_cast<std::uint64_t>(tb[0] + 1) |
+                static_cast<std::uint64_t>(tb[1] + 1) << 8 |
+                static_cast<std::uint64_t>(tb[2] + 1) << 16;
+      }
+      clock.lap(5);
     }
   }
   const auto* g = s.grouped.data();
   auto* out = s.out.data();
   {
-    const Span sp(kCoreSpanNames[6]);
-    for (const auto& r : s.levels) {
-      B::child_uniform(g + r.begin, out, r.end - r.begin, r.level % 8, r.level);
-      touch(sink, out, r.end - r.begin);
-    }
-  }
-  {
-    const Span sp(kCoreSpanNames[7]);
-    for (const auto& r : s.levels) {
-      if (r.level > 0) {
-        B::parent_uniform(g + r.begin, out, r.end - r.begin, r.level);
-        touch(sink, out, r.end - r.begin);
-      }
-    }
-  }
-  {
-    const Span sp(kCoreSpanNames[8]);
-    for (const auto& r : s.levels) {
-      if (r.level > 0) {
-        B::sibling_uniform(g + r.begin, out, r.end - r.begin,
-                           (r.level + 3) % 8, r.level);
-        touch(sink, out, r.end - r.begin);
-      }
-    }
-  }
-  {
-    const Span sp(kCoreSpanNames[9]);
-    for (const auto& r : s.faces) {
-      if (r.level > 0) {
-        B::face_neighbor_uniform(g + r.begin, out, r.end - r.begin, r.face,
-                                 r.level);
-        touch(sink, out, r.end - r.begin);
-      }
-    }
-  }
-  {
-    const Span sp(kCoreSpanNames[10]);
-    for (const auto& r : s.levels) {
+    const Span sp("core.batch_ops");
+    for (const auto& blk : s.blocks) {
+      const auto& r = blk.level;
       const std::size_t m = r.end - r.begin;
+      clock.start();
+      B::child_uniform(g + r.begin, out, m, r.level % 8, r.level);
+      touch(sink, out, m);
+      clock.lap(6);
+      if (r.level > 0) {
+        B::parent_uniform(g + r.begin, out, m, r.level);
+        touch(sink, out, m);
+        clock.lap(7);
+        B::sibling_uniform(g + r.begin, out, m, (r.level + 3) % 8, r.level);
+        touch(sink, out, m);
+        clock.lap(8);
+        for (std::size_t k = blk.face_begin; k < blk.face_end; ++k) {
+          const auto& fr = s.face_pieces[k];
+          B::face_neighbor_uniform(g + fr.begin, out, fr.end - fr.begin,
+                                   fr.face, fr.level);
+          touch(sink, out, fr.end - fr.begin);
+        }
+        clock.lap(9);
+      }
       B::neighbor_at_offset_n(g + r.begin, s.ox.data(), s.oy.data(),
                               s.oz.data(), m, 1, -1, 1, r.level);
       touch(sink, s.ox.data(), m);
       touch(sink, s.oz.data(), m);
-    }
-  }
-  {
-    const Span sp(kCoreSpanNames[11]);
-    for (const auto& r : s.levels) {
-      B::morton_quadrant_n(s.grouped_index.data() + r.begin, out,
-                           r.end - r.begin, r.level);
-      touch(sink, out, r.end - r.begin);
+      clock.lap(10);
+      B::morton_quadrant_n(s.grouped_index.data() + r.begin, out, m, r.level);
+      touch(sink, out, m);
+      clock.lap(11);
     }
   }
   return sink;
@@ -298,9 +336,12 @@ std::array<std::uint64_t, kCoreOps> canonical_digests(const CoreSet<R>& s) {
       d[5].add(static_cast<std::uint64_t>(v));
     }
   }
-  std::vector<typename R::quad_t> out(s.out.size());
-  std::vector<std::int64_t> ox(s.out.size()), oy(s.out.size()),
-      oz(s.out.size());
+  std::size_t widest = 0;
+  for (const auto& r : s.levels) {
+    widest = std::max(widest, r.end - r.begin);
+  }
+  std::vector<typename R::quad_t> out(widest);
+  std::vector<std::int64_t> ox(widest), oy(widest), oz(widest);
   const auto* g = s.grouped.data();
   for (const auto& r : s.levels) {
     const std::size_t m = r.end - r.begin;

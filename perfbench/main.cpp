@@ -9,8 +9,9 @@
 ///
 /// Modes:
 ///   run    warm-up, three timed set-ups of all four representations, then
-///          steps round-robin over the representations for S seconds;
-///          every round is checked across representations.
+///          steps round-robin over the representations for S seconds
+///          (paper_ops: side by side); every round is checked across
+///          representations.
 ///   trace  the same steps, each representation alternating an untraced
 ///          and a traced step; reports per-layer times and counts, and
 ///          writes the Chrome trace and the obs metrics snapshot to DIR.
@@ -21,10 +22,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -91,6 +94,10 @@ struct States {
 
 template <template <class> class W>
 constexpr bool kSearches = std::is_same_v<W<Std>, SolverStatic<Std>>;
+
+/// paper_ops: its steps are single-threaded and share no state.
+template <template <class> class W>
+constexpr bool kSideBySide = std::is_same_v<W<Std>, PaperOps<Std>>;
 
 template <template <class> class W>
 void prepare_round(Ctx& ctx, int round) {
@@ -226,15 +233,44 @@ std::string mode_run(const Options& o, Ctx& ctx) {
   for (int round = 0; round < kMinRounds || now_s() - t_start < o.seconds;
        ++round) {
     prepare_round<W>(ctx, round);
-    // Rotate which representation goes first, so none always runs right
-    // after the untimed checks.
-    for (int j = 0; j < kReps; ++j) {
-      const int i = (round + j) % kReps;
+    const auto timed_step = [&](int i) {
       st.with(i, [&](auto& s) {
         const double t0 = now_s();
         s->step(round);
         steps[static_cast<std::size_t>(i)].push_back(now_s() - t0);
       });
+    };
+    if constexpr (kSideBySide<W>) {
+      // The steps are single-threaded and independent, so they run side
+      // by side, up to o.ranks (min(4, nproc)) at a time. Each round then
+      // meets the host at one moment, and a run collects about twice as
+      // many steps, which puts the tail percentile deeper into them.
+      for (int g = 0; g < kReps; g += o.ranks) {
+        std::array<std::exception_ptr, kReps> errors;
+        {
+          std::vector<std::jthread> group;  // joined on every way out
+          for (int i = g; i < std::min(kReps, g + o.ranks); ++i) {
+            group.emplace_back([&, i] {
+              try {
+                timed_step(i);
+              } catch (...) {
+                errors[static_cast<std::size_t>(i)] = std::current_exception();
+              }
+            });
+          }
+        }
+        for (const std::exception_ptr& e : errors) {
+          if (e) {
+            std::rethrow_exception(e);
+          }
+        }
+      }
+    } else {
+      // Rotate which representation goes first, so none always runs right
+      // after the untimed checks.
+      for (int j = 0; j < kReps; ++j) {
+        timed_step((round + j) % kReps);
+      }
     }
     std::array<StepCheck, kReps> c;
     for (int i = 0; i < kReps; ++i) {
@@ -333,9 +369,10 @@ std::string mode_trace(const Options& o, Ctx& ctx) {
         for (const auto& [metric, span] : kLayerSpans) {
           t.layer[metric] += self(span);
         }
-        for (const char* span : kCoreSpanNames) {
-          t.layer[std::string(span) + "_ns"] +=
-              self(span) * 1e9 / std::max(1.0, s->probe_quads());
+        const auto& op_ns = s->core_op_ns();
+        for (std::size_t k = 0; k < kCoreOps; ++k) {
+          t.layer[std::string(kCoreOpNames[k]) + "_ns"] +=
+              static_cast<double>(op_ns[k]) / std::max(1.0, s->probe_quads());
         }
         const StepCounts sc = s->counts();
         t.layer["io.rank_s_max"] += sc.rank_s_max;

@@ -120,8 +120,12 @@ class ForestState {
     std::uint64_t sink = core_sweep(set);
     qforest::bench::do_not_optimize(sink);
     probe_quads_ = static_cast<double>(set.quads.size());
+    probe_ns_ = set.op_ns;
   }
   [[nodiscard]] double probe_quads() const { return probe_quads_; }
+  [[nodiscard]] const std::array<std::int64_t, kCoreOps>& core_op_ns() const {
+    return probe_ns_;
+  }
 
   [[nodiscard]] StepCounts counts() const {
     StepCounts c = last_;
@@ -365,6 +369,7 @@ class ForestState {
   std::uint64_t face_sum_ = 0;
   StepCounts last_;
   double probe_quads_ = 0;
+  std::array<std::int64_t, kCoreOps> probe_ns_{};
 };
 
 /// amr_front: a band that moves every step; the mesh follows it.
@@ -478,6 +483,9 @@ class PaperOps {
   void core_probe() {}
   [[nodiscard]] double probe_quads() const {
     return static_cast<double>(set_->quads.size());
+  }
+  [[nodiscard]] const std::array<std::int64_t, kCoreOps>& core_op_ns() const {
+    return set_->op_ns;
   }
   [[nodiscard]] StepCounts counts() const { return {}; }
 
