@@ -1,10 +1,10 @@
 /// \file bench_balance_mark.cpp
-/// \brief Balance mark-phase ablation: the batched mark phase (bulk
-/// neighbor keys through BatchOps<R>::neighbor_at_offset_n + one sorted-
-/// merge sweep per target tree, per-tree parallel) against the scalar
-/// per-quadrant reference path (neighbor_at_offset + upper_bound per
-/// (leaf, offset) pair), selected by the batch kill switch exactly like
-/// the kernel dispatch ablation.
+/// \brief Balance mark-phase ablation: the library's balance (one
+/// neighbor-key sweep — bulk keys through BatchOps<R>::neighbor_at_offset_n,
+/// grid lookups and one sorted-merge sweep per target tree, tree- and
+/// chunk-parallel, batch kernels on) against the per-quadrant oracle of
+/// tests/forest_oracle.hpp (neighbor_at_offset + upper_bound per (leaf,
+/// offset) pair, serial) — the "scalar" columns.
 ///
 /// Two timings per representation:
 ///   - balance:   full 2:1 enforcement of an unbalanced sphere-band mesh
@@ -13,8 +13,8 @@
 ///                mark sweep that finds nothing, no apply, no rebuild —
 ///                the purest measurement of the mark phase itself.
 ///
-/// The two dispatch paths must agree on the final mesh leaf-for-leaf; the
-/// binary exits nonzero otherwise (CI runs it as a smoke test). Results
+/// The library and the oracle must agree on the final mesh leaf-for-leaf;
+/// the binary exits nonzero otherwise (CI runs it as a smoke test). Results
 /// land on stdout and in BENCH_balance_mark.json.
 
 #include <cstdio>
@@ -27,6 +27,7 @@
 #include "core/quadrant_std.hpp"
 #include "core/quadrant_wide.hpp"
 #include "forest/forest.hpp"
+#include "forest_oracle.hpp"
 #include "simd/feature_detect.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -50,18 +51,26 @@ Forest<R> make_unbalanced(int base_level, int max_depth) {
   return f;
 }
 
+/// Time the library's balance, or the oracle's when \p use_oracle.
 template <class R>
-MarkTimes run_path(const Forest<R>& base, int sweeps,
+MarkTimes run_path(const Forest<R>& base, int sweeps, bool use_oracle,
                    Forest<R>* mesh_out = nullptr) {
+  const auto balance = [use_oracle](Forest<R>& f) {
+    if (use_oracle) {
+      oracle::balance(f, BalanceKind::kFull);
+    } else {
+      f.balance(BalanceKind::kFull);
+    }
+  };
   MarkTimes best;
   for (int s = 0; s < sweeps; ++s) {
     Forest<R> f = base;
     WallTimer t;
-    f.balance(BalanceKind::kFull);
+    balance(f);
     const double balance_s = t.elapsed_s();
 
     t.reset();
-    f.balance(BalanceKind::kFull);  // already balanced: pure mark sweep
+    balance(f);  // already balanced: pure mark sweep
     const double mark_only_s = t.elapsed_s();
 
     if (s == 0 || balance_s < best.balance_s) {
@@ -78,7 +87,7 @@ MarkTimes run_path(const Forest<R>& base, int sweeps,
   return best;
 }
 
-/// Leaf-for-leaf mesh equality between the two dispatch paths.
+/// Leaf-for-leaf mesh equality between the library and the oracle.
 template <class R>
 bool same_mesh(const Forest<R>& a, const Forest<R>& b) {
   if (a.num_quadrants() != b.num_quadrants()) {
@@ -109,16 +118,14 @@ void bench_rep(Table& table, BenchJson& json, int base_level, int max_depth,
   const Forest<R> base = make_unbalanced<R>(base_level, max_depth);
 
   Forest<R> scalar_mesh = base;
-  batch::set_enabled(false);
-  const MarkTimes scalar = run_path(base, sweeps, &scalar_mesh);
+  const MarkTimes scalar = run_path(base, sweeps, true, &scalar_mesh);
   Forest<R> batched_mesh = base;
-  batch::set_enabled(true);
-  const MarkTimes batched = run_path(base, sweeps, &batched_mesh);
+  const MarkTimes batched = run_path(base, sweeps, false, &batched_mesh);
 
   if (!same_mesh(scalar_mesh, batched_mesh)) {
     std::fprintf(stderr,
-                 "FAIL: %s balanced mesh diverges between the scalar and "
-                 "the batched mark phase (%lld vs %lld leaves)\n",
+                 "FAIL: %s balanced mesh diverges between the oracle and "
+                 "the library (%lld vs %lld leaves)\n",
                  R::name, static_cast<long long>(scalar.leaves),
                  static_cast<long long>(batched.leaves));
     std::exit(1);
@@ -163,8 +170,8 @@ int main() {
     sweeps = std::atoi(env);
   }
 
-  std::printf("== balance mark phase: batched (bulk neighbor keys + sorted "
-              "merge) vs scalar per-quadrant lookups, 2x2x1 brick, uniform "
+  std::printf("== balance mark phase: library (bulk neighbor keys + sorted "
+              "merge) vs per-quadrant oracle lookups, 2x2x1 brick, uniform "
               "L%d -> sphere band to L%d, best of %d ==\n",
               base_level, max_depth, sweeps);
   std::printf("cpu features: %s; avx batch kernels %s\n",
@@ -182,7 +189,7 @@ int main() {
   bench_rep<AvxRep<3>>(table, json, base_level, max_depth, sweeps);
   bench_rep<WideMortonRep<3>>(table, json, base_level, max_depth, sweeps);
   table.print();
-  std::printf("\n(both mark phases must produce the identical balanced "
+  std::printf("\n(library and oracle must produce the identical balanced "
               "mesh; mark-only rows time one complete no-op mark sweep.)\n");
 
   json.write("BENCH_balance_mark.json");

@@ -1,11 +1,13 @@
 /// \file bench_forest_batch.cpp
 /// \brief forest_batched vs forest_scalar: the payoff of routing the
-/// forest's hot loops (refine waves, coarsen family sweeps, balance
-/// splitting) through the BatchOps<R> dispatch seam instead of scalar
-/// per-quadrant ops. Both runs execute the *same* staged code path — only
-/// the kernel bodies differ (batch::set_enabled toggles the SIMD gate), so
-/// the delta isolates the 256-bit kernels, exactly the ablation the paper
-/// asks of high-level consumers of vectorized primitives.
+/// forest's hot loops (refine waves, coarsen family sweeps, balance)
+/// through the BatchOps<R> dispatch seam. The refine and coarsen phases of
+/// both runs execute the *same* staged code path and only the kernel
+/// bodies differ (batch::set_enabled toggles the SIMD gate), so their
+/// delta isolates the 256-bit kernels, the ablation the paper asks of
+/// high-level consumers of vectorized primitives. The balance phase's
+/// scalar side is the per-quadrant oracle of tests/forest_oracle.hpp, so
+/// its delta is the whole neighbor-key sweep, not just its kernels.
 ///
 /// Results land on stdout as a table and in BENCH_forest.json.
 
@@ -19,6 +21,7 @@
 #include "core/quadrant_std.hpp"
 #include "core/quadrant_wide.hpp"
 #include "forest/forest.hpp"
+#include "forest_oracle.hpp"
 #include "obs/metrics.hpp"
 #include "simd/feature_detect.hpp"
 #include "util/table.hpp"
@@ -36,8 +39,12 @@ struct PhaseTimes {
   gidx_t leaves_coarsened = 0;  ///< after the final coarsen pass
 };
 
+/// One timed workflow; \p scalar runs refine and coarsen on the generic
+/// kernel loops and balance through the oracle.
 template <class R>
-PhaseTimes run_workflow(int base_level, int max_depth, int sweeps) {
+PhaseTimes run_workflow(int base_level, int max_depth, int sweeps,
+                        bool scalar) {
+  batch::set_enabled(!scalar);
   PhaseTimes best;
   for (int s = 0; s < sweeps; ++s) {
     auto f = Forest<R>::new_uniform(Connectivity::unit(3), base_level);
@@ -48,7 +55,11 @@ PhaseTimes run_workflow(int base_level, int max_depth, int sweeps) {
     const double refine_s = t.elapsed_s();
 
     t.reset();
-    f.balance(BalanceKind::kFull);
+    if (scalar) {
+      oracle::balance(f, BalanceKind::kFull);
+    } else {
+      f.balance(BalanceKind::kFull);
+    }
     const double balance_s = t.elapsed_s();
     const gidx_t leaves = f.num_quadrants();
 
@@ -80,10 +91,10 @@ double pct(double scalar_s, double batched_s) {
 template <class R>
 void bench_rep(Table& table, BenchJson& json, int base_level, int max_depth,
                int sweeps) {
-  batch::set_enabled(false);
-  const PhaseTimes scalar = run_workflow<R>(base_level, max_depth, sweeps);
-  batch::set_enabled(true);
-  const PhaseTimes batched = run_workflow<R>(base_level, max_depth, sweeps);
+  const PhaseTimes scalar =
+      run_workflow<R>(base_level, max_depth, sweeps, true);
+  const PhaseTimes batched =
+      run_workflow<R>(base_level, max_depth, sweeps, false);
 
   // CI runs this binary as the dispatch smoke test: the two paths must
   // produce the same mesh, not just claim to — both after refine+balance
@@ -176,8 +187,7 @@ int main() {
   // regression records are unaffected.
   obs::reset_metrics();
   obs::set_metrics(true);
-  batch::set_enabled(true);
-  run_workflow<MortonRep<3>>(base_level, max_depth, 1);
+  run_workflow<MortonRep<3>>(base_level, max_depth, 1, false);
   obs::set_metrics(false);
   json.begin_record();
   json.field("bench", "forest_batch");

@@ -1,8 +1,8 @@
 /// \file bench_ghost.cpp
-/// \brief Read-path ablation: the batched consumer paths (ghost_layer,
-/// iterate_faces, search_points) against their scalar per-quadrant
-/// reference paths, selected by the batch kill switch exactly like the
-/// balance mark ablation.
+/// \brief Read-path ablation: the library's consumer paths (ghost_layer,
+/// iterate_faces, search_points — neighbor-key sweep and sorted merges,
+/// batch kernels on) against the per-quadrant oracle of
+/// tests/forest_oracle.hpp — the "scalar" columns.
 ///
 /// Workload: the shared sphere-band mesh (workload.hpp) on a 2x2x1 brick,
 /// refined and 2:1-balanced, partitioned across 8 simulated ranks —
@@ -11,13 +11,13 @@
 ///                    exchange set build);
 ///   - iterate_faces: one full face sweep with a counting callback;
 ///   - search_points: one batched point location of ~num_leaves random
-///                    canonical points (scalar path: per-point search).
+///                    canonical points (oracle: per-point search).
 ///
-/// The two dispatch paths must agree exactly — ghost sets per rank,
+/// The library and the oracle must agree exactly — ghost sets per rank,
 /// face-emission fingerprint, and per-point results; the binary exits
 /// nonzero otherwise (CI runs it as a smoke test). With SIMD active and
-/// the default mesh size, the batched ghost path must beat the scalar
-/// path by >= 1.5x (disable via QFOREST_GH_ENFORCE=0 for smoke runs).
+/// the default mesh size, the library's ghost path must beat the oracle
+/// by >= 1.5x (disable via QFOREST_GH_ENFORCE=0 for smoke runs).
 /// Results land on stdout and in BENCH_ghost.json.
 
 #include <atomic>
@@ -32,6 +32,7 @@
 #include "core/quadrant_std.hpp"
 #include "core/quadrant_wide.hpp"
 #include "forest/forest.hpp"
+#include "forest_oracle.hpp"
 #include "simd/feature_detect.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
@@ -94,16 +95,18 @@ inline std::uint64_t mix(std::uint64_t x) {
   return x;
 }
 
+/// Time the library's read paths, or the oracle's when \p use_oracle.
 template <class R>
 ReadTimes run_path(const Forest<R>& f, const std::vector<PointQuery>& pts,
-                   int sweeps, ReadResults* out) {
+                   int sweeps, bool use_oracle, ReadResults* out) {
   ReadTimes best;
   for (int s = 0; s < sweeps; ++s) {
     ReadResults res;
     WallTimer t;
     res.ghost.reserve(static_cast<std::size_t>(f.num_ranks()));
     for (int r = 0; r < f.num_ranks(); ++r) {
-      const auto layer = f.ghost_layer(r);
+      const auto layer =
+          use_oracle ? oracle::ghost_layer(f, r) : f.ghost_layer(r);
       std::vector<gidx_t> g;
       g.reserve(layer.entries.size());
       for (const auto& e : layer.entries) {
@@ -116,9 +119,9 @@ ReadTimes run_path(const Forest<R>& f, const std::vector<PointQuery>& pts,
     t.reset();
     std::atomic<std::uint64_t> fingerprint{0};
     std::atomic<gidx_t> faces{0};
-    f.iterate_faces([&](const FaceInfo<R>& info) {
-      // Order-independent: the callback runs concurrently on the
-      // batched path, and addition commutes.
+    const auto count_face = [&](const FaceInfo<R>& info) {
+      // Order-independent: the library runs the callback concurrently,
+      // and addition commutes.
       const std::uint64_t a =
           info.is_boundary
               ? ~std::uint64_t{0}
@@ -132,13 +135,19 @@ ReadTimes run_path(const Forest<R>& f, const std::vector<PointQuery>& pts,
           mix(a + (info.is_hanging ? 0x9e3779b97f4a7c15ULL : 0));
       fingerprint.fetch_add(h, std::memory_order_relaxed);
       faces.fetch_add(1, std::memory_order_relaxed);
-    });
+    };
+    if (use_oracle) {
+      oracle::iterate_faces(f, count_face);
+    } else {
+      f.iterate_faces(count_face);
+    }
     const double iterate_s = t.elapsed_s();
     res.face_fingerprint = fingerprint.load();
     res.faces = faces.load();
 
     t.reset();
-    res.points = f.search_points(pts);
+    res.points =
+        use_oracle ? oracle::search_points(f, pts) : f.search_points(pts);
     const double search_s = t.elapsed_s();
 
     if (s == 0 || ghost_s < best.ghost_s) {
@@ -168,17 +177,15 @@ void bench_rep(Table& table, BenchJson& json, int base_level, int max_depth,
   const auto pts = make_points(f.num_trees(),
                                static_cast<std::size_t>(f.num_quadrants()));
 
-  batch::set_enabled(false);
   ReadResults scalar_res;
-  const ReadTimes scalar = run_path(f, pts, sweeps, &scalar_res);
-  batch::set_enabled(true);
+  const ReadTimes scalar = run_path(f, pts, sweeps, true, &scalar_res);
   ReadResults batched_res;
-  const ReadTimes batched = run_path(f, pts, sweeps, &batched_res);
+  const ReadTimes batched = run_path(f, pts, sweeps, false, &batched_res);
 
   if (scalar_res.ghost != batched_res.ghost) {
     std::fprintf(stderr,
-                 "FAIL: %s ghost sets diverge between the scalar and the "
-                 "batched path\n",
+                 "FAIL: %s ghost sets diverge between the oracle and the "
+                 "library\n",
                  R::name);
     std::exit(1);
   }
@@ -192,8 +199,8 @@ void bench_rep(Table& table, BenchJson& json, int base_level, int max_depth,
   }
   if (scalar_res.points != batched_res.points) {
     std::fprintf(stderr,
-                 "FAIL: %s search_points diverges between the scalar and "
-                 "the batched path\n",
+                 "FAIL: %s search_points diverges between the oracle and "
+                 "the library\n",
                  R::name);
     std::exit(1);
   }
@@ -228,11 +235,11 @@ void bench_rep(Table& table, BenchJson& json, int base_level, int max_depth,
   }
 
   // Acceptance gate: with SIMD kernels active and a production-size mesh
-  // the batched ghost build must beat the scalar path by >= 1.5x.
+  // the library's ghost build must beat the oracle by >= 1.5x.
   if (enforce && BatchOps<R>::simd_active() && leaves >= kEnforceMinLeaves &&
       scalar.ghost_s < kEnforceMinBoost * batched.ghost_s) {
     std::fprintf(stderr,
-                 "FAIL: %s batched ghost_layer %.4fs vs scalar %.4fs — "
+                 "FAIL: %s library ghost_layer %.4fs vs oracle %.4fs — "
                  "below the %.1fx floor at %lld leaves\n",
                  R::name, batched.ghost_s, scalar.ghost_s, kEnforceMinBoost,
                  static_cast<long long>(leaves));
@@ -259,8 +266,8 @@ int main() {
     enforce = std::atoi(env) != 0;
   }
 
-  std::printf("== read paths: batched (bulk neighbor keys + grid/merge "
-              "resolution) vs scalar per-quadrant lookups, 2x2x1 brick, "
+  std::printf("== read paths: library (bulk neighbor keys + grid/merge "
+              "resolution) vs per-quadrant oracle lookups, 2x2x1 brick, "
               "uniform L%d -> balanced sphere band to L%d, %d ranks, best "
               "of %d ==\n",
               base_level, max_depth, kRanks, sweeps);
@@ -283,7 +290,7 @@ int main() {
                               enforce);
   table.print();
   std::printf("\n(per-rank ghost sets, the face-emission fingerprint and "
-              "every point result must agree between the two paths.)\n");
+              "every point result must agree between library and oracle.)\n");
 
   json.write("BENCH_ghost.json");
   return 0;

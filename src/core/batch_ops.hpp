@@ -27,8 +27,11 @@
 /// the comparator inputs likewise, including the off-by-one overlap of
 /// adjacent-pair sweeps (each element is read before any store).
 ///
-/// The runtime kill switch (QFOREST_NO_BATCH / batch::set_enabled) exists
-/// so benches can measure batched against scalar dispatch in one binary.
+/// The runtime kill switch (QFOREST_NO_BATCH / batch::set_enabled) picks
+/// the kernel bodies and nothing else: with it off, specializations take
+/// their generic scalar loops, and every forest algorithm above runs
+/// unchanged. It is read only in this file, so one binary can measure and
+/// cross-check both kernel sets.
 
 #include <atomic>
 #include <cstddef>

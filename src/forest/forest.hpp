@@ -20,7 +20,11 @@
 /// leaves are staged into level-uniform spans and dispatched through
 /// BatchOps<R> (core/batch_ops.hpp), so representations with SIMD batch
 /// kernels consume them register-parallel while every other representation
-/// takes the generic scalar loop.
+/// takes the generic scalar loop. Balance marking, the ghost/mirror scan
+/// and face iteration are three calls into one neighbor-key sweep
+/// (neighbor_sweep); each operation has exactly one algorithm here, and
+/// the per-quadrant reference algorithms the tests compare against live in
+/// tests/forest_oracle.hpp.
 ///
 /// Scheduling is two-level: the per-tree outer loops of the adaptation
 /// algorithms run on the shared forest thread pool (level 1), and within
@@ -48,10 +52,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
-#include <functional>
 #include <optional>
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
 #include "core/batch_ops.hpp"
@@ -478,22 +480,19 @@ class Forest {
   /// Enforce the 2:1 level condition across the chosen neighbor relations
   /// (including across tree faces) by iterated splitting until fixpoint.
   ///
-  /// The mark phase is batched: each tree's leaves are staged into
-  /// level-uniform spans and all candidate neighbor keys are produced in
-  /// bulk through BatchOps<R>::neighbor_at_offset_n. Keys staying inside
-  /// their source tree (the vast majority) resolve against a per-tree
-  /// Morton-cell index (MarkGrid) with a range-local search of a handful
-  /// of leaves; keys crossing a tree face are bucketed by target tree and
-  /// resolved there with one sort + sorted-merge sweep over the target's
-  /// leaf array. Every mark sub-phase and the split apply run per tree on
-  /// the forest pool AND in leaf-span chunks within each tree (split-
-  /// bitmap marks use relaxed atomic stores, everything else stays chunk-
-  /// or tree-local). MarkGrids persist across fixpoint iterations and are
-  /// rebuilt only for trees whose leaves changed in the previous apply.
-  /// The scalar per-quadrant reference path is kept behind the batch kill
-  /// switch (QFOREST_NO_BATCH / batch::set_enabled(false)) so one binary
-  /// can measure and cross-check both, exactly like the kernel dispatch
-  /// (see bench_balance_mark).
+  /// The mark phase is one neighbor_sweep over every leaf of level >= 2:
+  /// each chunk's leaves are staged into level-uniform spans and all
+  /// candidate neighbor keys are produced in bulk through
+  /// BatchOps<R>::neighbor_at_offset_n. Keys staying inside their source
+  /// tree (the vast majority) resolve against a per-tree Morton-cell index
+  /// (MarkGrid) with a range-local search of a handful of leaves; keys
+  /// crossing a tree face are bucketed by target tree and resolved there
+  /// with one sort + sorted-merge sweep over the target's leaf array. The
+  /// sweep and the split apply run per tree on the forest pool AND in
+  /// leaf-span chunks within each tree (split-bitmap marks use relaxed
+  /// atomic stores, everything else stays chunk- or tree-local).
+  /// MarkGrids persist across fixpoint iterations and are rebuilt only for
+  /// trees whose leaves changed in the previous apply.
   ///
   /// An already-balanced forest is a no-op: no split, no leaf-array
   /// rebuild, no repartition.
@@ -509,19 +508,11 @@ class Forest {
     std::vector<std::vector<std::uint8_t>> split(trees_.size());
     std::vector<std::size_t> dirty;
     std::vector<MarkGrid> grids(trees_.size());
-    std::vector<std::uint8_t> grid_valid(trees_.size(), 0);
     adapt_guard([&] {
       while (changed) {
         c_iterations.add(1);
         ++iterations;
-        for (std::size_t t = 0; t < trees_.size(); ++t) {
-          split[t].assign(trees_[t].size(), 0);
-        }
-        if (batch::enabled()) {
-          mark_splits_batched(kind, split, grids, grid_valid);
-        } else {
-          mark_splits_scalar(kind, split);
-        }
+        mark_splits(kind, split, grids);
         dirty.clear();
         for (std::size_t t = 0; t < trees_.size(); ++t) {
           if (std::find(split[t].begin(), split[t].end(), 1) !=
@@ -537,48 +528,29 @@ class Forest {
                        payload_enabled_ ? &payloads_[t] : nullptr, split[t]);
         });
         for (const std::size_t t : dirty) {
-          grid_valid[t] = 0;  // leaves changed: the grid ranges are stale
+          grids[t].valid = false;  // leaves changed: the grid ranges are stale
+        }
+        if (changed) {
+          rebuild_offsets();  // the next mark sweep addresses global indices
         }
       }
     }, any_changed);
     if (any_changed) {
-      rebuild_offsets();
       partition();
     }
     span.arg("iterations", iterations);
     span.arg("leaves", static_cast<std::int64_t>(num_quadrants()));
   }
 
-  /// Check the 2:1 condition without modifying the forest.
+  /// Check the 2:1 condition without modifying the forest: one balance
+  /// mark pass, which marks nothing exactly when the forest is balanced.
   [[nodiscard]] bool is_balanced(BalanceKind kind = BalanceKind::kFull) const {
-    for (tree_id_t t = 0; t < num_trees(); ++t) {
-      for (const quad_t& q : trees_[static_cast<std::size_t>(t)]) {
-        const int lvl = R::level(q);
-        if (lvl < 2) {
-          continue;
-        }
-        const bool ok =
-            for_each_neighbor_offset(kind, [&](int dx, int dy, int dz) {
-              const auto nb = neighbor_at_offset(t, q, dx, dy, dz);
-              if (!nb.has_value()) {
-                return true;
-              }
-              const auto enclosing = find_enclosing_leaf(nb->tree, nb->quad);
-              if (enclosing.has_value()) {
-                const quad_t& leaf =
-                    trees_[static_cast<std::size_t>(nb->tree)][*enclosing];
-                if (R::level(leaf) < lvl - 1) {
-                  return false;  // violation: stop probing this leaf
-                }
-              }
-              return true;
-            });
-        if (!ok) {
-          return false;
-        }
-      }
-    }
-    return true;
+    std::vector<std::vector<std::uint8_t>> split(trees_.size());
+    std::vector<MarkGrid> grids(trees_.size());
+    mark_splits(kind, split, grids);
+    return std::none_of(split.begin(), split.end(), [](const auto& marks) {
+      return std::find(marks.begin(), marks.end(), 1) != marks.end();
+    });
   }
 
   // ---------------------------------------------------------------- partition
@@ -639,18 +611,14 @@ class Forest {
 
   /// Remote leaves adjacent (faces, edges and corners) to \p rank's own.
   ///
-  /// Batched (the default): the rank's leaf subrange of each involved
-  /// tree is staged into level-uniform spans per leaf chunk, every
-  /// neighbor key is produced in bulk through
-  /// BatchOps<R>::neighbor_at_offset_n, keys staying in their source tree
-  /// resolve against a per-tree Morton-cell grid (MarkGrid) and keys
-  /// crossing a tree face are bucketed per target tree and resolved with
-  /// one sort + sorted-merge sweep — the read-side twin of the balance
-  /// mark phase. Trees and leaf chunks run in parallel on the forest
-  /// pool. The pre-batching scalar path (one neighbor_at_offset + binary
-  /// search per (leaf, offset) pair) is kept behind the batch kill switch
-  /// (QFOREST_NO_BATCH / batch::set_enabled(false)) as the parity
-  /// reference; both produce the identical ghost set.
+  /// One neighbor_sweep over the rank's leaf range — the same sweep as
+  /// the balance mark phase: the rank's leaves are staged into
+  /// level-uniform spans per leaf chunk, every neighbor key is produced in
+  /// bulk through BatchOps<R>::neighbor_at_offset_n, keys staying in their
+  /// source tree resolve against a per-tree Morton-cell grid (MarkGrid)
+  /// and keys crossing a tree face are bucketed per target tree and
+  /// resolved with one sort + sorted-merge sweep. Trees and leaf chunks
+  /// run in parallel on the forest pool.
   [[nodiscard]] GhostLayer<R> ghost_layer(int rank) const {
     GhostLayer<R> ghost;
     const auto [first, last] = rank_range(rank);
@@ -735,16 +703,13 @@ class Forest {
   /// see point_query.hpp for the shared-boundary convention). Throws
   /// std::invalid_argument when a query lies outside its tree's domain.
   ///
-  /// Batched (the default): queries are grouped per tree, each group is
-  /// sorted in curve order and resolved with one chunked sorted-merge
-  /// sweep over the tree's leaf array — the last-leaf-<=-key cursor
-  /// advances monotonically with the keys, the same trick that resolves
-  /// the cross-tree balance keys — so resolving m points costs one sort
-  /// plus one sweep instead of m whole-tree binary searches. Trees and
-  /// key chunks run in parallel on the forest pool. The per-point scalar
-  /// path (one upper_bound per query) is kept behind the batch kill
-  /// switch (QFOREST_NO_BATCH) as the parity reference. The pruning
-  /// traversal search() remains the API for callback-driven descents.
+  /// Queries are grouped per tree, each group is sorted in curve order
+  /// and resolved with one chunked sorted-merge sweep over the tree's
+  /// leaf array (merge_sweep, the cursor that also resolves the cross-tree
+  /// neighbor keys), so resolving m points costs one sort plus one sweep
+  /// instead of m whole-tree binary searches. Trees and key chunks run in
+  /// parallel on the forest pool. The pruning traversal search() remains
+  /// the API for callback-driven descents.
   [[nodiscard]] std::vector<gidx_t> search_points(
       const std::vector<PointQuery>& queries) const {
     obs::TraceSpan span("forest", "search_points");
@@ -761,12 +726,6 @@ class Forest {
       }
     }
     std::vector<gidx_t> out(queries.size(), -1);
-    if (!batch::enabled()) {
-      for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-        out[qi] = search_point_scalar(queries[qi]);
-      }
-      return out;
-    }
     // Counting sort groups the query indices per tree without touching
     // the input order (results land at each query's original slot).
     const std::size_t nt = trees_.size();
@@ -800,28 +759,17 @@ class Forest {
                 [](const auto& x, const auto& y) {
                   return R::less(x.first, y.first);
                 });
-      const auto& tree = trees_[ti];
-      const auto n = static_cast<std::ptrdiff_t>(tree.size());
-      parallel_chunks(pts.size(), chunk_grain(),
-                      [&](std::size_t, std::size_t pb, std::size_t pe) {
-        // Last leaf <= the chunk's first key; a complete tree guarantees
-        // one exists (the curve-minimal leaf precedes every in-root key).
-        std::ptrdiff_t j =
-            std::upper_bound(tree.begin(), tree.end(), pts[pb].first,
-                             RepLess<R>{}) -
-            tree.begin() - 1;
-        for (std::size_t k = pb; k < pe; ++k) {
-          while (j + 1 < n &&
-                 !R::less(pts[k].first,
-                          tree[static_cast<std::size_t>(j + 1)])) {
-            ++j;
-          }
-          assert(j >= 0);
-          out[pts[k].second] =
-              global_index(static_cast<tree_id_t>(ti),
-                           static_cast<std::size_t>(j));
-        }
-      });
+      // The containing leaf is the last leaf <= the point's key; a
+      // complete tree guarantees one exists (the curve-minimal leaf
+      // precedes every in-root key).
+      merge_sweep(
+          ti, pts.size(), chunk_grain(),
+          [&](std::size_t k) -> const quad_t& { return pts[k].first; },
+          [&](std::size_t, std::size_t k, std::ptrdiff_t j) {
+            assert(j >= 0);
+            out[pts[k].second] = global_index(static_cast<tree_id_t>(ti),
+                                              static_cast<std::size_t>(j));
+          });
     });
     return out;
   }
@@ -833,36 +781,63 @@ class Forest {
   /// paper's future-work item 4): hanging pairs are emitted from the
   /// finer side, equal-size pairs from the globally lower leaf.
   ///
-  /// Batched (the default): the leaf sweep runs per tree AND per leaf
-  /// chunk on the forest pool, with every face-neighbor key of a
-  /// level-uniform span produced in bulk through
-  /// BatchOps<R>::neighbor_at_offset_n and resolved against the per-tree
-  /// Morton-cell grid; keys crossing a tree face are bucketed per target
-  /// tree and resolved with one sort + sorted-merge sweep. The emission
-  /// set is identical to the scalar path but the ORDER is not, and \p cb
-  /// is invoked concurrently — it must be thread-safe, with the same
-  /// opt-outs as the adaptation callbacks (set_tree_parallelism /
-  /// set_intra_tree_parallelism). The serial per-leaf scalar path is
-  /// kept behind the batch kill switch (QFOREST_NO_BATCH /
-  /// batch::set_enabled(false)) as the deterministic-order parity
-  /// reference.
+  /// One neighbor_sweep over every leaf with the 2*dim face offsets: the
+  /// sweep runs per tree AND per leaf chunk on the forest pool, produces
+  /// every face-neighbor key of a level-uniform span in bulk through
+  /// BatchOps<R>::neighbor_at_offset_n and resolves it against the
+  /// per-tree Morton-cell grid; keys crossing a tree face are bucketed per
+  /// target tree and resolved with one sort + sorted-merge sweep. The
+  /// emission ORDER is therefore unspecified, and \p cb is invoked
+  /// concurrently — it must be thread-safe, with the same opt-outs as the
+  /// adaptation callbacks (set_tree_parallelism /
+  /// set_intra_tree_parallelism).
   template <class Fn>
   void iterate_faces(Fn&& cb) const {
     obs::TraceSpan span("forest", "iterate_faces");
     QFOREST_DBG_WRAP_CALLBACK(checked_cb, cb);
-    if (batch::enabled()) {
-      iterate_faces_batched(checked_cb);
-      return;
-    }
-    for (tree_id_t t = 0; t < num_trees(); ++t) {
-      const auto& tree = trees_[static_cast<std::size_t>(t)];
-      for (std::size_t i = 0; i < tree.size(); ++i) {
-        const quad_t& q = tree[i];
-        for (int f = 0; f < dims::num_faces; ++f) {
-          emit_face(t, i, q, f, checked_cb);
-        }
-      }
-    }
+    // Side 0 of a face: the emitting leaf.
+    const auto side0 = [&](const SweepSource& from) {
+      FaceInfo<R> info;
+      info.tree[0] = from.tree;
+      info.quad[0] = trees_[static_cast<std::size_t>(from.tree)][from.leaf];
+      info.leaf_index[0] = from.leaf;
+      info.face[0] = from.offset;
+      return info;
+    };
+    std::vector<MarkGrid> grids(trees_.size());
+    (void)neighbor_sweep<SweepSource>(
+        0, num_quadrants(), face_offsets(), 0, grids,
+        [&](std::vector<gidx_t>&, std::size_t ti, std::ptrdiff_t j,
+            const quad_t& key, const SweepSource& from) {
+          if (j < 0) {
+            return;
+          }
+          const auto t = static_cast<tree_id_t>(ti);
+          const auto leaf = static_cast<std::size_t>(j);
+          const quad_t& nb = trees_[ti][leaf];
+          if (!encloses(nb, key)) {
+            return;  // neighbor region finer: those leaves emit toward us
+          }
+          // The key has side 0's level: equal-size pairs emit from the
+          // globally lower side, hanging ones from the finer side 0.
+          const bool hanging = R::level(nb) != R::level(key);
+          if (!hanging &&
+              global_index(from.tree, from.leaf) > global_index(t, leaf)) {
+            return;
+          }
+          FaceInfo<R> info = side0(from);
+          info.is_hanging = hanging;
+          info.tree[1] = t;
+          info.quad[1] = nb;
+          info.leaf_index[1] = leaf;
+          info.face[1] = from.offset ^ 1;
+          checked_cb(info);
+        },
+        [&](std::vector<gidx_t>&, const SweepSource& from) {
+          FaceInfo<R> info = side0(from);
+          info.is_boundary = true;
+          checked_cb(info);
+        });
   }
 
   // ---------------------------------------------------------------- checks
@@ -963,29 +938,15 @@ class Forest {
   /// std::nullopt at a physical boundary.
   [[nodiscard]] std::optional<NeighborLookup> neighbor_at_offset(
       tree_id_t t, const quad_t& q, int dx, int dy, int dz) const {
-    CanonicalQuadrant c = to_canonical<R>(q);
+    const CanonicalQuadrant c = to_canonical<R>(q);
     const std::int64_t h = std::int64_t{1} << (kCanonicalLevel - c.level);
-    const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
     std::int64_t pos[3] = {c.x + dx * h, c.y + dy * h, c.z + dz * h};
-    std::array<int, 3> tree_step = {0, 0, 0};
-    for (int a = 0; a < dim; ++a) {
-      if (pos[a] < 0) {
-        tree_step[a] = -1;
-        pos[a] += root;
-      } else if (pos[a] >= root) {
-        tree_step[a] = 1;
-        pos[a] -= root;
-      }
+    std::array<int, 3> tree_step{};
+    const tree_id_t nt = wrap_key(t, pos, tree_step);
+    if (nt < 0) {
+      return std::nullopt;
     }
-    tree_id_t nt = t;
-    if (tree_step[0] != 0 || tree_step[1] != 0 || tree_step[2] != 0) {
-      nt = conn_.tree_offset_neighbor(t, tree_step[0], tree_step[1],
-                                      tree_step[2]);
-      if (nt < 0) {
-        return std::nullopt;
-      }
-    }
-    CanonicalQuadrant nc{pos[0], pos[1], pos[2], c.level};
+    const CanonicalQuadrant nc{pos[0], pos[1], pos[2], c.level};
     return NeighborLookup{nt, from_canonical<R>(nc), tree_step};
   }
 
@@ -1002,8 +963,7 @@ class Forest {
       return std::nullopt;
     }
     const auto idx = static_cast<std::size_t>(it - tree.begin()) - 1;
-    const quad_t& leaf = tree[idx];
-    if (R::equal(leaf, q) || R::is_ancestor(leaf, q)) {
+    if (encloses(tree[idx], q)) {
       return idx;
     }
     return std::nullopt;
@@ -1706,147 +1666,83 @@ class Forest {
     }
   }
 
-  /// Invoke \p fn for every neighbor offset vector of the balance kind.
-  /// \p fn may return void, or bool where false stops the enumeration
-  /// early (the balance checkers bail at the first violation instead of
-  /// probing the remaining offsets). Returns whether the enumeration ran
-  /// to completion.
-  template <class Fn>
-  static bool for_each_neighbor_offset(BalanceKind kind, Fn&& fn) {
+  /// Whether \p leaf is \p key or one of its ancestors.
+  static bool encloses(const quad_t& leaf, const quad_t& key) {
+    return R::equal(leaf, key) || R::is_ancestor(leaf, key);
+  }
+
+  // ------------------------------------------------------- neighbor sweep
+
+  /// Wrap the canonical position \p pos of a key displaced from tree \p t
+  /// back into the root domain, axis by axis, and follow the connectivity
+  /// to the tree it lands in. Returns that tree — t itself when no axis
+  /// wrapped, or on a periodic wrap back into t — or -1 past a physical
+  /// boundary; \p step receives the tree-grid steps taken.
+  tree_id_t wrap_key(tree_id_t t, std::int64_t (&pos)[3],
+                     std::array<int, 3>& step) const {
+    const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
+    step = {0, 0, 0};
+    for (int a = 0; a < dim; ++a) {
+      if (pos[a] < 0) {
+        step[a] = -1;
+        pos[a] += root;
+      } else if (pos[a] >= root) {
+        step[a] = 1;
+        pos[a] -= root;
+      }
+    }
+    if (step[0] == 0 && step[1] == 0 && step[2] == 0) {
+      return t;
+    }
+    return conn_.tree_offset_neighbor(t, step[0], step[1], step[2]);
+  }
+
+  /// Displacements (in quadrant lengths) of the neighbor relations the
+  /// balance kind covers.
+  static std::vector<std::array<int, 3>> neighbor_offsets(BalanceKind kind) {
+    const int max_axes = kind == BalanceKind::kFace   ? 1
+                         : kind == BalanceKind::kEdge ? 2
+                                                      : 3;
     const int zlo = dim == 3 ? -1 : 0;
     const int zhi = dim == 3 ? 1 : 0;
+    std::vector<std::array<int, 3>> out;
     for (int dz = zlo; dz <= zhi; ++dz) {
       for (int dy = -1; dy <= 1; ++dy) {
         for (int dx = -1; dx <= 1; ++dx) {
-          const int nz = (dx != 0) + (dy != 0) + (dz != 0);
-          if (nz == 0) {
-            continue;
-          }
-          if (kind == BalanceKind::kFace && nz > 1) {
-            continue;
-          }
-          if (kind == BalanceKind::kEdge && nz > 2) {
-            continue;
-          }
-          if constexpr (std::is_void_v<std::invoke_result_t<Fn&, int, int,
-                                                            int>>) {
-            fn(dx, dy, dz);
-          } else {
-            if (!fn(dx, dy, dz)) {
-              return false;
-            }
+          const int axes = (dx != 0) + (dy != 0) + (dz != 0);
+          if (axes > 0 && axes <= max_axes) {
+            out.push_back({dx, dy, dz});
           }
         }
       }
     }
-    return true;
+    return out;
   }
 
-  // ------------------------------------------------- balance mark phase
-
-  /// Scalar reference mark phase: one neighbor_at_offset + binary search
-  /// per (leaf, offset) pair — the pre-batching code path, kept
-  /// selectable via the batch kill switch (QFOREST_NO_BATCH) so tests and
-  /// benches can cross-check and measure the batched phase against it.
-  void mark_splits_scalar(
-      BalanceKind kind, std::vector<std::vector<std::uint8_t>>& split) const {
-    for (tree_id_t t = 0; t < num_trees(); ++t) {
-      const auto& tree = trees_[static_cast<std::size_t>(t)];
-      for (const quad_t& q : tree) {
-        const int lvl = R::level(q);
-        if (lvl < 2) {
-          continue;  // neighbors can never be two levels coarser
-        }
-        for_each_neighbor_offset(kind, [&](int dx, int dy, int dz) {
-          const auto nb = neighbor_at_offset(t, q, dx, dy, dz);
-          if (!nb.has_value()) {
-            return;  // physical boundary
-          }
-          const auto enclosing = find_enclosing_leaf(nb->tree, nb->quad);
-          if (enclosing.has_value()) {
-            const quad_t& leaf =
-                trees_[static_cast<std::size_t>(nb->tree)][*enclosing];
-            if (R::level(leaf) < lvl - 1) {
-              split[static_cast<std::size_t>(nb->tree)][*enclosing] = 1;
-            }
-          }
-        });
-      }
+  /// The 2*dim face displacements, indexed by face id: face f steps along
+  /// axis f/2, toward + when f is odd.
+  static std::vector<std::array<int, 3>> face_offsets() {
+    std::vector<std::array<int, 3>> out(dims::num_faces,
+                                        std::array<int, 3>{0, 0, 0});
+    for (int f = 0; f < dims::num_faces; ++f) {
+      out[static_cast<std::size_t>(f)][static_cast<std::size_t>(f >> 1)] =
+          (f & 1) ? 1 : -1;
     }
+    return out;
   }
-
-  /// Candidate neighbor keys one source tree emits into one target tree,
-  /// already re-encoded in the target tree's coordinate frame.
-  struct MarkBucket {
-    tree_id_t tree;
-    std::vector<quad_t> quads;
-  };
 
   /// Coarse Morton-cell index over one tree's leaf array: cell c of the
   /// uniform level-`level` grid maps to the contiguous leaf index range
   /// [begin[c], end[c]) of leaves intersecting it (contiguous because the
   /// leaves are sorted along the curve and grid cells are aligned
-  /// blocks). An enclosing-leaf lookup then touches only the few leaves
-  /// of one cell instead of binary-searching the whole tree.
+  /// blocks). A key lookup then touches only the few leaves of one cell
+  /// instead of binary-searching the whole tree.
   struct MarkGrid {
+    bool valid = false;  ///< built, and the tree's leaves unchanged since
     int level = 0;
     std::vector<std::size_t> begin;
     std::vector<std::size_t> end;
   };
-
-  /// Batched mark phase, three tree-parallel (and within each tree
-  /// chunk-parallel) passes:
-  ///   1. index: build each tree's Morton-cell MarkGrid — only for trees
-  ///      whose leaves changed since the grid was last built (the balance
-  ///      fixpoint loop reuses grids of unchanged trees across
-  ///      iterations);
-  ///   2. produce + resolve local: bulk-emit every candidate neighbor
-  ///      key through BatchOps<R>::neighbor_at_offset_n over
-  ///      level-uniform spans staged per leaf chunk; keys staying in the
-  ///      source tree (the vast majority) resolve immediately against its
-  ///      MarkGrid (split marks are relaxed atomic stores — chunks of one
-  ///      tree may mark the same leaf), keys that cross a tree face are
-  ///      bucketed per chunk and merged per target tree;
-  ///   3. resolve remote: each target tree sorts its incoming bucket and
-  ///      resolves it with a sorted-merge sweep, itself cut into key
-  ///      chunks that each start from one binary search.
-  void mark_splits_batched(BalanceKind kind,
-                           std::vector<std::vector<std::uint8_t>>& split,
-                           std::vector<MarkGrid>& grids,
-                           std::vector<std::uint8_t>& grid_valid) const {
-    const std::size_t nt = trees_.size();
-    parallel_over(nt, [&](std::size_t ti) {
-      if (!grid_valid[ti]) {
-        build_mark_grid(ti, grids[ti]);
-        grid_valid[ti] = 1;
-      }
-    });
-    std::vector<std::vector<MarkBucket>> cand(nt);
-    parallel_over(nt, [&](std::size_t ti) {
-      produce_and_mark_local(static_cast<tree_id_t>(ti), kind, grids[ti],
-                             split[ti], cand[ti]);
-    });
-    // One serial pass groups bucket pointers per target, so the
-    // per-target workers below don't each scan every source tree
-    // (quadratic in num_trees on large bricks).
-    std::vector<std::vector<const std::vector<quad_t>*>> incoming(nt);
-    for (const auto& per_source : cand) {
-      for (const MarkBucket& b : per_source) {
-        incoming[static_cast<std::size_t>(b.tree)].push_back(&b.quads);
-      }
-    }
-    parallel_over(nt, [&](std::size_t ti) {
-      std::vector<quad_t> keys;
-      for (const auto* quads : incoming[ti]) {
-        keys.insert(keys.end(), quads->begin(), quads->end());
-      }
-      if (keys.empty()) {
-        return;
-      }
-      std::sort(keys.begin(), keys.end(), RepLess<R>{});
-      mark_enclosing_merge(ti, keys, split[ti]);
-    });
-  }
 
   /// Build tree \p ti's MarkGrid. The grid level is chosen so cells hold
   /// ~2+ leaves on average (a finer grid would cost more to build than it
@@ -1877,7 +1773,7 @@ class Forest {
       for (std::size_t i = b; i < e; ++i) {
         const CanonicalQuadrant c = to_canonical<R>(tree[i]);
         const std::uint64_t c0 =
-            cell_morton(g, c.x >> shift, c.y >> shift, c.z >> shift);
+            cell_morton(c.x >> shift, c.y >> shift, c.z >> shift);
         std::uint64_t c1 = c0;
         if (c.level < lvl) {
           c1 = c0 + (std::uint64_t{1} << (dim * (lvl - c.level))) - 1;
@@ -1888,6 +1784,7 @@ class Forest {
         }
       }
     });
+    g.valid = true;
   }
 
   static void atomic_fold_min(std::size_t& slot, std::size_t v) {
@@ -1910,8 +1807,8 @@ class Forest {
     }
   }
 
-  static std::uint64_t cell_morton(const MarkGrid& g, std::int64_t cx,
-                                   std::int64_t cy, std::int64_t cz) {
+  static std::uint64_t cell_morton(std::int64_t cx, std::int64_t cy,
+                                   std::int64_t cz) {
     if constexpr (dim == 3) {
       return bits::interleave3(static_cast<std::uint32_t>(cx),
                                static_cast<std::uint32_t>(cy),
@@ -1923,372 +1820,171 @@ class Forest {
     }
   }
 
-  /// Phase 2 worker: stage tree \p t's leaves into level-uniform spans
-  /// (leaves of level < 2 emit nothing — their neighbors can never be two
-  /// levels coarser) and emit every neighbor-offset key in bulk. The
-  /// tree's leaf array is cut into chunks; each chunk stages its own
-  /// leaves and processes its own spans. Keys staying inside the tree
-  /// resolve against the (shared, read-only) MarkGrid on the spot with
-  /// relaxed atomic split marks; keys crossing a tree face are wrapped
-  /// into the neighbor tree's frame and bucketed per chunk, merged into
-  /// \p out afterwards. Keys leaving the physical domain are dropped. A
-  /// periodic wrap back into the source tree counts as local (target ==
-  /// t) and also resolves here.
-  void produce_and_mark_local(tree_id_t t, BalanceKind kind,
-                              const MarkGrid& grid,
-                              std::vector<std::uint8_t>& split,
-                              std::vector<MarkBucket>& out) const {
-    const auto ti = static_cast<std::size_t>(t);
-    const auto& tree = trees_[ti];
-    const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
-    const std::size_t grain = chunk_grain();
-    std::vector<std::vector<MarkBucket>> chunk_out(
-        batch::chunk_count(tree.size(), grain));
-    parallel_chunks(tree.size(), grain,
-                    [&](std::size_t c, std::size_t cb, std::size_t ce) {
-      auto& mine = chunk_out[c];
-      auto bucket_for = [&](tree_id_t target) -> std::vector<quad_t>& {
-        // Linear scan: a tree has at most 3^dim - 1 distinct targets.
-        for (MarkBucket& b : mine) {
-          if (b.tree == target) {
-            return b.quads;
-          }
-        }
-        mine.push_back(MarkBucket{target, {}});
-        return mine.back().quads;
-      };
-      SpanStage<R> staged;
-      for (std::size_t i = cb; i < ce; ++i) {
-        if (R::level(tree[i]) >= 2) {
-          staged.add(tree[i]);
-        }
-      }
-      std::vector<std::int64_t> ox, oy, oz;
-      for (std::size_t l = 2; l < staged.num_levels(); ++l) {
-        const auto& span = staged.span(l);
-        if (span.empty()) {
-          continue;
-        }
-        ox.resize(span.size());
-        oy.resize(span.size());
-        oz.resize(span.size());
-        for_each_neighbor_offset(kind, [&](int dx, int dy, int dz) {
-          BatchOps<R>::neighbor_at_offset_n(span.data(), ox.data(),
-                                            oy.data(), oz.data(),
-                                            span.size(), dx, dy, dz,
-                                            static_cast<int>(l));
-          for (std::size_t i = 0; i < span.size(); ++i) {
-            std::int64_t pos[3] = {ox[i], oy[i], oz[i]};
-            std::array<int, 3> step = {0, 0, 0};
-            for (int a = 0; a < dim; ++a) {
-              if (pos[a] < 0) {
-                step[a] = -1;
-                pos[a] += root;
-              } else if (pos[a] >= root) {
-                step[a] = 1;
-                pos[a] -= root;
-              }
-            }
-            tree_id_t target = t;
-            if (step[0] != 0 || step[1] != 0 || step[2] != 0) {
-              target =
-                  conn_.tree_offset_neighbor(t, step[0], step[1], step[2]);
-              if (target < 0) {
-                continue;  // physical boundary
-              }
-            }
-            const CanonicalQuadrant nc{pos[0], pos[1], pos[2],
-                                       static_cast<int>(l)};
-            if (target == t) {
-              resolve_mark(ti, grid, nc, split);
-            } else {
-              bucket_for(target).push_back(from_canonical<R>(nc));
-            }
-          }
-        });
-      }
-    });
-    for (auto& mine : chunk_out) {
-      for (MarkBucket& b : mine) {
-        auto it = std::find_if(out.begin(), out.end(), [&](const MarkBucket& o) {
-          return o.tree == b.tree;
-        });
-        if (it == out.end()) {
-          out.push_back(std::move(b));
-        } else {
-          it->quads.insert(it->quads.end(), b.quads.begin(), b.quads.end());
-        }
-      }
-    }
-  }
-
-  /// Grid-accelerated find_enclosing_leaf for a canonical key inside
-  /// tree \p ti: the enclosing leaf, if any, intersects the grid cell
-  /// containing the key's corner, so the range-local upper_bound equals
-  /// the global one whenever an enclosure exists (an out-of-range
-  /// predecessor cannot be an ancestor — ancestors contain the corner and
-  /// hence the cell). Shared by the balance mark phase and the batched
-  /// face iteration.
-  [[nodiscard]] std::optional<std::size_t> resolve_enclosing_grid(
-      std::size_t ti, const MarkGrid& g, const CanonicalQuadrant& nc) const {
+  /// The merge cursor of a key staying in tree \p ti, found through the
+  /// tree's MarkGrid: the index of the last leaf <= key in curve order.
+  /// In a complete tree the key's enclosing leaf — or, when the key's
+  /// region is covered by finer leaves, the first of them — intersects
+  /// the grid cell holding the key's lower corner, so the upper_bound
+  /// local to that cell's leaf range lands where the whole-tree one does.
+  [[nodiscard]] std::ptrdiff_t grid_cursor(std::size_t ti, const MarkGrid& g,
+                                           const CanonicalQuadrant& nc,
+                                           const quad_t& key) const {
     const auto& tree = trees_[ti];
     const int shift = kCanonicalLevel - g.level;
     const std::uint64_t cell =
-        cell_morton(g, nc.x >> shift, nc.y >> shift, nc.z >> shift);
+        cell_morton(nc.x >> shift, nc.y >> shift, nc.z >> shift);
     const std::size_t lo = g.begin[cell];
-    const std::size_t hi = g.end[cell];
-    if (lo >= hi) {
-      return std::nullopt;
-    }
-    const quad_t key = from_canonical<R>(nc);
-    const auto first = tree.begin() + static_cast<std::ptrdiff_t>(lo);
-    const auto last = tree.begin() + static_cast<std::ptrdiff_t>(hi);
-    const auto it = std::upper_bound(first, last, key, RepLess<R>{});
-    if (it == first) {
-      return std::nullopt;
-    }
-    const auto idx = static_cast<std::size_t>(it - tree.begin()) - 1;
-    const quad_t& leaf = tree[idx];
-    if (R::equal(leaf, key) || R::is_ancestor(leaf, key)) {
-      return idx;
-    }
-    return std::nullopt;
+    const std::size_t hi = std::max(lo, g.end[cell]);  // empty: defensive
+    return std::upper_bound(tree.begin() + static_cast<std::ptrdiff_t>(lo),
+                            tree.begin() + static_cast<std::ptrdiff_t>(hi),
+                            key, RepLess<R>{}) -
+           tree.begin() - 1;
   }
 
-  /// Resolve one candidate key against tree \p ti via its MarkGrid and
-  /// mark the enclosing leaf when it is two or more levels coarser than
-  /// the key (a 2:1 violation). The mark is a relaxed atomic store:
-  /// concurrent chunk workers of one tree may mark the same leaf, and
-  /// all stores write the same value (the bitmap is only read after the
-  /// parallel region completes).
-  void resolve_mark(std::size_t ti, const MarkGrid& g,
-                    const CanonicalQuadrant& nc,
-                    std::vector<std::uint8_t>& split) const {
-    const auto enclosing = resolve_enclosing_grid(ti, g, nc);
-    if (!enclosing.has_value()) {
-      return;
-    }
-    if (R::level(trees_[ti][*enclosing]) < nc.level - 1) {
-      // mo: relaxed — idempotent mark byte; readers run after the
-      // marking region joins.
-      std::atomic_ref<std::uint8_t>(split[*enclosing])
-          .store(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Phase 3 worker: the sorted-merge replacement of per-candidate
-  /// find_enclosing_leaf. Keys and the leaf array are both sorted by
-  /// R::less ("ancestors before descendants" curve order), so the index
-  /// of the last leaf <= key — the only possible enclosure, exactly what
-  /// upper_bound - 1 yields — advances monotonically and one sweep
-  /// resolves every key. The sweep is cut into key chunks; each chunk
-  /// seeds its cursor with one binary search on its first key and then
-  /// advances monotonically, marking via relaxed atomic stores (adjacent
-  /// chunks can resolve to the same leaf). The enclosing leaf is marked
-  /// when it is two or more levels coarser than the key (a 2:1
-  /// violation); keys whose region is covered by finer leaves have no
-  /// enclosure and mark nothing.
-  void mark_enclosing_merge(std::size_t ti, const std::vector<quad_t>& keys,
-                            std::vector<std::uint8_t>& split) const {
+  /// The sorted-merge cursor: resolve \p n keys sorted along the curve
+  /// (key_of(k)) against tree \p ti. Keys and leaves are both sorted by
+  /// R::less, so the index j of the last leaf <= key — the only possible
+  /// enclosure, exactly what upper_bound - 1 yields — advances
+  /// monotonically. The keys are cut into chunks of \p grain run on the
+  /// forest pool; each chunk seeds j with one upper_bound on its first key
+  /// and calls \p fn(chunk, k, j) for each of its keys (j = -1: none).
+  template <class KeyOf, class Fn>
+  void merge_sweep(std::size_t ti, std::size_t n, std::size_t grain,
+                   KeyOf&& key_of, Fn&& fn) const {
     const auto& tree = trees_[ti];
-    const auto n = static_cast<std::ptrdiff_t>(tree.size());
-    parallel_chunks(keys.size(), chunk_grain(),
-                    [&](std::size_t, std::size_t b, std::size_t e) {
-      // Last leaf <= keys[b] (-1: none): upper_bound yields the first
-      // leaf strictly greater, the candidate enclosure sits before it.
-      std::ptrdiff_t j =
-          std::upper_bound(tree.begin(), tree.end(), keys[b],
-                           RepLess<R>{}) -
-          tree.begin() - 1;
-      for (std::size_t kk = b; kk < e; ++kk) {
-        const quad_t& key = keys[kk];
-        while (j + 1 < n &&
+    const auto m = static_cast<std::ptrdiff_t>(tree.size());
+    parallel_chunks(n, grain,
+                    [&](std::size_t c, std::size_t b, std::size_t e) {
+      std::ptrdiff_t j = std::upper_bound(tree.begin(), tree.end(),
+                                          key_of(b), RepLess<R>{}) -
+                         tree.begin() - 1;
+      for (std::size_t k = b; k < e; ++k) {
+        const quad_t& key = key_of(k);
+        while (j + 1 < m &&
                !R::less(key, tree[static_cast<std::size_t>(j + 1)])) {
           ++j;
         }
-        if (j < 0) {
-          continue;
-        }
-        const quad_t& leaf = tree[static_cast<std::size_t>(j)];
-        if (R::level(leaf) < R::level(key) - 1 &&
-            (R::equal(leaf, key) || R::is_ancestor(leaf, key))) {
-          // mo: relaxed — idempotent mark byte; readers run after the
-          // marking region joins.
-          std::atomic_ref<std::uint8_t>(split[static_cast<std::size_t>(j)])
-              .store(1, std::memory_order_relaxed);
-        }
+        fn(c, k, j);
       }
     });
   }
 
-  /// Call \p fn(leaf_index) for every leaf of the neighbor lookup's tree
-  /// whose domain touches the reference quadrant (\p t, \p ref) and lies
-  /// within the same-level neighbor region.
-  template <class Fn>
-  void collect_touching_leaves(const NeighborLookup& nb, tree_id_t t,
-                               const quad_t& ref, Fn&& fn) const {
-    const auto& tree = trees_[static_cast<std::size_t>(nb.tree)];
-    const auto enclosing = find_enclosing_leaf(nb.tree, nb.quad);
-    if (enclosing.has_value()) {
-      fn(*enclosing);
-      return;
-    }
-    // The region of the neighbor is covered by finer leaves: they form a
-    // contiguous run starting at the first leaf >= nb.quad. Translate the
-    // reference into the neighbor tree's coordinate frame so the touch
-    // test works across tree faces too.
-    const auto it =
-        std::lower_bound(tree.begin(), tree.end(), nb.quad, RepLess<R>{});
-    CanonicalQuadrant cref = to_canonical<R>(ref);
-    const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
-    cref.x -= nb.tree_step[0] * root;
-    cref.y -= nb.tree_step[1] * root;
-    cref.z -= nb.tree_step[2] * root;
-    for (auto cur = it; cur != tree.end(); ++cur) {
-      if (!R::is_ancestor(nb.quad, *cur)) {
-        break;
-      }
-      if (nb.tree != t || !R::equal(*cur, ref)) {
-        if (canonical_touch(to_canonical<R>(*cur), cref)) {
-          fn(static_cast<std::size_t>(cur - tree.begin()));
-        }
-      }
-    }
-  }
-
-  // ------------------------------------------------- ghost adjacency scan
-
-  /// One cross-tree adjacency key of the batched scan: the same-level
-  /// neighbor key re-encoded in the target tree's frame, the reference
-  /// leaf's canonical domain translated into that frame (the finer-run
-  /// touch filter needs it), and the source leaf's global index (the
-  /// emission of mirrors mode).
-  struct GhostKey {
-    quad_t key;
-    CanonicalQuadrant ref;
-    gidx_t source;
-  };
-
-  /// Cross-tree adjacency keys one source tree emits into one target.
-  struct GhostBucket {
+  /// Where a sweep key came from: the source leaf and the index of its
+  /// displacement in the sweep's offset set.
+  struct SweepSource {
     tree_id_t tree;
-    std::vector<GhostKey> keys;
+    int offset;
+    std::size_t leaf;
   };
 
-  /// Shared core of ghost_layer and mirrors: scan the leaves of the
-  /// global range [first, last) against every kFull neighbor offset and
-  /// return, sorted and deduplicated, either every out-of-range leaf
-  /// touched (\p sources false — the ghost layer) or every in-range leaf
-  /// touching at least one out-of-range leaf (\p sources true — the
-  /// mirrors; the touch relation is symmetric, so one pass over the own
-  /// leaves replaces recomputing every other rank's ghost layer).
-  [[nodiscard]] std::vector<gidx_t> adjacency_scan(gidx_t first, gidx_t last,
-                                                   bool sources) const {
-    obs::TraceSpan span("forest", "adjacency_scan");
-    span.arg("range", static_cast<std::int64_t>(last - first));
-    std::vector<gidx_t> seen = batch::enabled()
-                                   ? adjacency_scan_batched(first, last,
-                                                            sources)
-                                   : adjacency_scan_scalar(first, last,
-                                                           sources);
-    std::sort(seen.begin(), seen.end());
-    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-    return seen;
-  }
+  /// Key payload of a sweep whose actions never ask where a key came from.
+  struct NoSource {
+    explicit NoSource(const SweepSource&) {}
+  };
 
-  /// Scalar reference scan: one neighbor_at_offset + whole-tree binary
-  /// search per (leaf, offset) pair — the pre-batching ghost_layer loop,
-  /// kept selectable via the batch kill switch for parity tests and the
-  /// bench_ghost ablation.
-  [[nodiscard]] std::vector<gidx_t> adjacency_scan_scalar(
-      gidx_t first, gidx_t last, bool sources) const {
-    std::vector<gidx_t> seen;
-    for (gidx_t g = first; g < last; ++g) {
-      const auto [t, i] = locate(g);
-      const quad_t& q = trees_[static_cast<std::size_t>(t)][i];
-      for_each_neighbor_offset(BalanceKind::kFull,
-                               [&, t = t, g = g](int dx, int dy, int dz) {
-        const auto nb = neighbor_at_offset(t, q, dx, dy, dz);
-        if (!nb.has_value()) {
-          return;
-        }
-        collect_touching_leaves(*nb, t, q, [&](std::size_t leaf_idx) {
-          const gidx_t lg = global_index(nb->tree, leaf_idx);
-          if (lg < first || lg >= last) {
-            seen.push_back(sources ? g : lg);
-          }
-        });
-      });
+  /// A cross-tree key in its target tree's frame, plus its payload.
+  template <class Payload>
+  struct RemoteKey {
+    quad_t key;
+    [[no_unique_address]] Payload payload;
+  };
+
+  /// Cross-tree keys bound for one target tree.
+  template <class Payload>
+  struct RemoteBucket {
+    tree_id_t tree;
+    std::vector<RemoteKey<Payload>> keys;
+  };
+
+  static void append_parts(std::vector<gidx_t>& out,
+                           const std::vector<std::vector<gidx_t>>& parts) {
+    for (const auto& part : parts) {
+      out.insert(out.end(), part.begin(), part.end());
     }
-    return seen;
   }
 
-  /// Batched scan, the read-side twin of mark_splits_batched:
-  ///   A. per involved tree (only trees intersecting the rank range),
-  ///      build a MarkGrid, then sweep the rank's leaf subrange in
-  ///      chunks — each chunk stages its leaves into level-uniform spans
-  ///      (IndexedSpanStage keeps the source leaf indices), bulk-emits
-  ///      every kFull neighbor key through neighbor_at_offset_n, resolves
-  ///      keys staying in the tree against the grid on the spot and
-  ///      buckets keys crossing a tree face per target;
-  ///   B. per target tree, concatenate + sort the incoming keys by curve
-  ///      order and resolve them with a chunked sorted-merge sweep.
-  /// The reference domain needed by the finer-run touch filter comes for
-  /// free: in the target frame it is the wrapped key position minus the
-  /// offset displacement (the wrap translation cancels axis by axis).
-  [[nodiscard]] std::vector<gidx_t> adjacency_scan_batched(
-      gidx_t first, gidx_t last, bool sources) const {
-    std::vector<gidx_t> seen;
+  /// The one neighbor-key sweep behind the balance mark phase, the
+  /// ghost/mirror scan and face iteration. For every leaf of level >=
+  /// \p min_level in the global range [first, last) and every
+  /// displacement of \p offsets it produces the same-level neighbor key
+  /// and resolves it to j, the index of the last leaf <= key in the key's
+  /// tree (-1: none) — the key's enclosing leaf when it has one, else the
+  /// leaf right before its finer descendants. Two passes:
+  ///   1. per tree and per leaf chunk: stage the chunk into level-uniform
+  ///      spans, produce the keys in bulk through
+  ///      BatchOps<R>::neighbor_at_offset_n and wrap them across tree
+  ///      faces. Keys leaving the domain go to \p boundary(out, source);
+  ///      keys staying in the source tree (a periodic wrap included)
+  ///      resolve on the spot through its MarkGrid; keys entering another
+  ///      tree are bucketed per chunk, then merged per source tree;
+  ///   2. the buckets are grouped per target with one pointer pass, and
+  ///      each target sorts its keys and resolves them with merge_sweep.
+  /// Every resolved key goes to \p hit(out, tree, j, key, payload) with
+  /// payload = Payload(source): SweepSource when the action needs to know
+  /// the key's origin, NoSource when it does not (its cross-tree keys then
+  /// stay quadrant-sized). Actions run concurrently; \p out is a private
+  /// sink per chunk, and the global indices pushed there are returned
+  /// concatenated, unsorted. \p grids holds one grid per tree; the sweep
+  /// builds those of the scanned trees that are not valid.
+  template <class Payload, class Hit, class Boundary>
+  std::vector<gidx_t> neighbor_sweep(
+      gidx_t first, gidx_t last, const std::vector<std::array<int, 3>>& offsets,
+      int min_level, std::vector<MarkGrid>& grids, Hit&& hit,
+      Boundary&& boundary) const {
+    std::vector<gidx_t> out;
     if (first >= last) {
-      return seen;
+      return out;
     }
-    const auto [t0, i0] = locate(first);
-    const auto [t1, i1] = locate(last - 1);
-    const std::size_t nscan = static_cast<std::size_t>(t1 - t0) + 1;
-    std::vector<MarkGrid> grids(nscan);
-    parallel_over(nscan, [&, t0 = t0](std::size_t k) {
-      build_mark_grid(static_cast<std::size_t>(t0) + k, grids[k]);
+    const std::pair<tree_id_t, std::size_t> lo = locate(first);
+    const std::pair<tree_id_t, std::size_t> hi = locate(last - 1);
+    const auto t0 = static_cast<std::size_t>(lo.first);
+    const std::size_t nscan = static_cast<std::size_t>(hi.first - lo.first) + 1;
+    parallel_over(nscan, [&](std::size_t k) {
+      if (!grids[t0 + k].valid) {
+        build_mark_grid(t0 + k, grids[t0 + k]);
+      }
     });
-    const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
     const std::size_t grain = chunk_grain();
     static obs::Counter& c_local = obs::counter("forest.scan.local_keys");
     static obs::Counter& c_merge = obs::counter("forest.scan.merge_keys");
-    std::vector<std::vector<gidx_t>> tree_seen(nscan);
-    std::vector<std::vector<GhostBucket>> buckets(nscan);
-    parallel_over(nscan, [&, t0 = t0, t1 = t1, i0 = i0,
-                          i1 = i1](std::size_t k) {
-      const auto t = static_cast<tree_id_t>(static_cast<std::size_t>(t0) + k);
-      const auto ti = static_cast<std::size_t>(t);
+    std::vector<std::vector<gidx_t>> source_out(nscan);
+    std::vector<std::vector<RemoteBucket<Payload>>> buckets(nscan);
+    parallel_over(nscan, [&](std::size_t k) {
+      const std::size_t ti = t0 + k;
+      const auto t = static_cast<tree_id_t>(ti);
       const auto& tree = trees_[ti];
-      const MarkGrid& grid = grids[k];
-      const std::size_t a = t == t0 ? i0 : 0;
-      const std::size_t b = t == t1 ? i1 + 1 : tree.size();
-      const std::size_t m = b - a;
-      const std::size_t nchunks = batch::chunk_count(m, grain);
-      std::vector<std::vector<gidx_t>> chunk_seen(nchunks);
-      std::vector<std::vector<GhostBucket>> chunk_buckets(nchunks);
-      parallel_chunks(m, grain,
+      const MarkGrid& grid = grids[ti];
+      const std::size_t a = k == 0 ? lo.second : 0;
+      const std::size_t b = k + 1 == nscan ? hi.second + 1 : tree.size();
+      const std::size_t nchunks = batch::chunk_count(b - a, grain);
+      std::vector<std::vector<gidx_t>> chunk_out(nchunks);
+      std::vector<std::vector<RemoteBucket<Payload>>> chunk_buckets(nchunks);
+      parallel_chunks(b - a, grain,
                       [&](std::size_t c, std::size_t cb, std::size_t ce) {
-        auto& my_seen = chunk_seen[c];
+        auto& mine = chunk_out[c];
         auto& my_buckets = chunk_buckets[c];
-        std::size_t local_keys = 0;
-        std::size_t merge_keys = 0;
-        auto bucket_for = [&](tree_id_t target) -> std::vector<GhostKey>& {
+        auto bucket_for =
+            [&](tree_id_t target) -> std::vector<RemoteKey<Payload>>& {
           // Linear scan: a tree has at most 3^dim - 1 distinct targets.
-          for (GhostBucket& bk : my_buckets) {
+          for (RemoteBucket<Payload>& bk : my_buckets) {
             if (bk.tree == target) {
               return bk.keys;
             }
           }
-          my_buckets.push_back(GhostBucket{target, {}});
+          my_buckets.push_back(RemoteBucket<Payload>{target, {}});
           return my_buckets.back().keys;
         };
+        std::size_t local_keys = 0;
+        std::size_t merge_keys = 0;
         IndexedSpanStage<R> staged;
-        for (std::size_t i = cb; i < ce; ++i) {
-          staged.add(tree[a + i], a + i);
+        for (std::size_t i = a + cb; i < a + ce; ++i) {
+          if (R::level(tree[i]) >= min_level) {
+            staged.add(tree[i], i);
+          }
         }
         std::vector<std::int64_t> ox, oy, oz;
-        for (std::size_t l = 0; l < staged.num_levels(); ++l) {
+        for (auto l = static_cast<std::size_t>(min_level);
+             l < staged.num_levels(); ++l) {
           const auto& span = staged.span(l);
           if (span.empty()) {
             continue;
@@ -2297,56 +1993,35 @@ class Forest {
           ox.resize(span.size());
           oy.resize(span.size());
           oz.resize(span.size());
-          const std::int64_t h = std::int64_t{1}
-                                 << (kCanonicalLevel - static_cast<int>(l));
-          for_each_neighbor_offset(BalanceKind::kFull,
-                                   [&](int dx, int dy, int dz) {
+          for (std::size_t o = 0; o < offsets.size(); ++o) {
+            const std::array<int, 3>& d = offsets[o];
             BatchOps<R>::neighbor_at_offset_n(span.data(), ox.data(),
                                               oy.data(), oz.data(),
-                                              span.size(), dx, dy, dz,
+                                              span.size(), d[0], d[1], d[2],
                                               static_cast<int>(l));
             for (std::size_t i = 0; i < span.size(); ++i) {
+              const SweepSource from{t, static_cast<int>(o), src[i]};
               std::int64_t pos[3] = {ox[i], oy[i], oz[i]};
-              std::array<int, 3> step = {0, 0, 0};
-              for (int axis = 0; axis < dim; ++axis) {
-                if (pos[axis] < 0) {
-                  step[axis] = -1;
-                  pos[axis] += root;
-                } else if (pos[axis] >= root) {
-                  step[axis] = 1;
-                  pos[axis] -= root;
-                }
-              }
-              tree_id_t target = t;
-              if (step[0] != 0 || step[1] != 0 || step[2] != 0) {
-                target = conn_.tree_offset_neighbor(t, step[0], step[1],
-                                                    step[2]);
-                if (target < 0) {
-                  continue;  // physical boundary
-                }
+              std::array<int, 3> step{};
+              const tree_id_t target = wrap_key(t, pos, step);
+              if (target < 0) {
+                boundary(mine, from);  // physical boundary
+                continue;
               }
               const CanonicalQuadrant nc{pos[0], pos[1], pos[2],
                                          static_cast<int>(l)};
-              const CanonicalQuadrant ref{pos[0] - dx * h, pos[1] - dy * h,
-                                          pos[2] - dz * h,
-                                          static_cast<int>(l)};
-              const gidx_t src_g = global_index(t, src[i]);
+              const quad_t key = from_canonical<R>(nc);
               if (target == t) {
                 ++local_keys;
-                resolve_touching_local(
-                    ti, grid, nc, ref, [&](std::size_t leaf_idx) {
-                      const gidx_t lg = global_index(t, leaf_idx);
-                      if (lg < first || lg >= last) {
-                        my_seen.push_back(sources ? src_g : lg);
-                      }
-                    });
+                hit(mine, ti, grid_cursor(ti, grid, nc, key), key,
+                    Payload(from));
               } else {
                 ++merge_keys;
                 bucket_for(target).push_back(
-                    GhostKey{from_canonical<R>(nc), ref, src_g});
+                    RemoteKey<Payload>{key, Payload(from)});
               }
             }
-          });
+          }
         }
         if (local_keys > 0) {
           c_local.add(local_keys);
@@ -2355,16 +2030,13 @@ class Forest {
           c_merge.add(merge_keys);
         }
       });
-      auto& ts = tree_seen[k];
-      for (const auto& cs : chunk_seen) {
-        ts.insert(ts.end(), cs.begin(), cs.end());
-      }
+      append_parts(source_out[k], chunk_out);
       auto& tb = buckets[k];
       for (auto& cbk : chunk_buckets) {
-        for (GhostBucket& bk : cbk) {
+        for (RemoteBucket<Payload>& bk : cbk) {
           const auto it = std::find_if(
               tb.begin(), tb.end(),
-              [&](const GhostBucket& o) { return o.tree == bk.tree; });
+              [&](const RemoteBucket<Payload>& o) { return o.tree == bk.tree; });
           if (it == tb.end()) {
             tb.push_back(std::move(bk));
           } else {
@@ -2373,164 +2045,133 @@ class Forest {
         }
       }
     });
-    // Phase B: group the buckets per target (serial pointer pass, as in
-    // mark_splits_batched), then resolve each target's keys.
-    std::vector<std::vector<const std::vector<GhostKey>*>> incoming(
-        trees_.size());
+    // One serial pass groups bucket pointers per target, so the
+    // per-target workers below don't each scan every source tree
+    // (quadratic in num_trees on large bricks).
+    const std::size_t nt = trees_.size();
+    std::vector<std::vector<const std::vector<RemoteKey<Payload>>*>> incoming(
+        nt);
     for (const auto& per_source : buckets) {
-      for (const GhostBucket& bk : per_source) {
+      for (const RemoteBucket<Payload>& bk : per_source) {
         incoming[static_cast<std::size_t>(bk.tree)].push_back(&bk.keys);
       }
     }
-    std::vector<std::vector<gidx_t>> target_seen(trees_.size());
-    parallel_over(trees_.size(), [&](std::size_t ti) {
+    std::vector<std::vector<gidx_t>> target_out(nt);
+    parallel_over(nt, [&](std::size_t ti) {
       if (incoming[ti].empty()) {
         return;
       }
       std::size_t total = 0;
-      for (const auto* keys : incoming[ti]) {
-        total += keys->size();
+      for (const auto* part : incoming[ti]) {
+        total += part->size();
       }
-      std::vector<GhostKey> keys;
+      std::vector<RemoteKey<Payload>> keys;
       keys.reserve(total);
       for (const auto* part : incoming[ti]) {
         keys.insert(keys.end(), part->begin(), part->end());
       }
       std::sort(keys.begin(), keys.end(),
-                [](const GhostKey& x, const GhostKey& y) {
+                [](const RemoteKey<Payload>& x, const RemoteKey<Payload>& y) {
                   return R::less(x.key, y.key);
                 });
-      resolve_touching_merge(ti, first, last, sources, keys,
-                             target_seen[ti]);
+      std::vector<std::vector<gidx_t>> chunk_out(
+          batch::chunk_count(keys.size(), grain));
+      merge_sweep(
+          ti, keys.size(), grain,
+          [&](std::size_t k) -> const quad_t& { return keys[k].key; },
+          [&](std::size_t c, std::size_t k, std::ptrdiff_t j) {
+            hit(chunk_out[c], ti, j, keys[k].key, keys[k].payload);
+          });
+      append_parts(target_out[ti], chunk_out);
     });
-    std::size_t total = 0;
-    for (const auto& part : tree_seen) {
-      total += part.size();
+    append_parts(out, source_out);
+    append_parts(out, target_out);
+    return out;
+  }
+
+  // ------------------------------------------------ sweep consumers
+
+  /// Balance mark phase: split[t][i] = 1 for every leaf two or more levels
+  /// coarser than a same-level neighbor key of some leaf under \p kind (a
+  /// 2:1 violation). Leaves below level 2 emit no keys: their neighbors
+  /// can never be two levels coarser.
+  void mark_splits(BalanceKind kind,
+                   std::vector<std::vector<std::uint8_t>>& split,
+                   std::vector<MarkGrid>& grids) const {
+    for (std::size_t t = 0; t < trees_.size(); ++t) {
+      split[t].assign(trees_[t].size(), 0);
     }
-    for (const auto& part : target_seen) {
-      total += part.size();
-    }
-    seen.reserve(total);
-    for (const auto& part : tree_seen) {
-      seen.insert(seen.end(), part.begin(), part.end());
-    }
-    for (const auto& part : target_seen) {
-      seen.insert(seen.end(), part.begin(), part.end());
-    }
+    (void)neighbor_sweep<NoSource>(
+        0, num_quadrants(), neighbor_offsets(kind), 2, grids,
+        [&](std::vector<gidx_t>&, std::size_t ti, std::ptrdiff_t j,
+            const quad_t& key, NoSource) {
+          if (j < 0) {
+            return;
+          }
+          const auto leaf = static_cast<std::size_t>(j);
+          if (R::level(trees_[ti][leaf]) < R::level(key) - 1 &&
+              encloses(trees_[ti][leaf], key)) {
+            // mo: relaxed — idempotent mark byte (chunks and targets may
+            // mark the same leaf); readers run after the regions join.
+            std::atomic_ref<std::uint8_t>(split[ti][leaf])
+                .store(1, std::memory_order_relaxed);
+          }
+        },
+        [](std::vector<gidx_t>&, const SweepSource&) {});
+  }
+
+  /// Shared core of ghost_layer and mirrors: scan the leaves of the
+  /// global range [first, last) against every kFull neighbor offset and
+  /// return, sorted and deduplicated, either every out-of-range leaf
+  /// touched (\p sources false — the ghost layer) or every in-range leaf
+  /// touching at least one out-of-range leaf (\p sources true — the
+  /// mirrors; the touch relation is symmetric, so one pass over the own
+  /// leaves replaces recomputing every other rank's ghost layer). A key
+  /// touches its enclosing leaf, or else those of its finer descendants
+  /// that touch the source leaf.
+  [[nodiscard]] std::vector<gidx_t> adjacency_scan(gidx_t first, gidx_t last,
+                                                   bool sources) const {
+    obs::TraceSpan span("forest", "adjacency_scan");
+    span.arg("range", static_cast<std::int64_t>(last - first));
+    const auto offsets = neighbor_offsets(BalanceKind::kFull);
+    std::vector<MarkGrid> grids(trees_.size());
+    std::vector<gidx_t> seen = neighbor_sweep<SweepSource>(
+        first, last, offsets, 0, grids,
+        [&](std::vector<gidx_t>& out, std::size_t ti, std::ptrdiff_t j,
+            const quad_t& key, const SweepSource& from) {
+          const auto& tree = trees_[ti];
+          const auto emit = [&](std::size_t leaf) {
+            const gidx_t lg = global_index(static_cast<tree_id_t>(ti), leaf);
+            if (lg < first || lg >= last) {
+              out.push_back(sources ? global_index(from.tree, from.leaf)
+                                    : lg);
+            }
+          };
+          if (j >= 0 && encloses(tree[static_cast<std::size_t>(j)], key)) {
+            emit(static_cast<std::size_t>(j));
+            return;
+          }
+          // The descendants run contiguously from j + 1. The source
+          // leaf's domain in this tree's frame is the key minus the offset
+          // displacement: a tree-face wrap cancels axis by axis.
+          CanonicalQuadrant ref = to_canonical<R>(key);
+          const std::int64_t h = std::int64_t{1}
+                                 << (kCanonicalLevel - ref.level);
+          const auto& d = offsets[static_cast<std::size_t>(from.offset)];
+          ref.x -= d[0] * h;
+          ref.y -= d[1] * h;
+          ref.z -= d[2] * h;
+          for (auto r = static_cast<std::size_t>(j + 1);
+               r < tree.size() && R::is_ancestor(key, tree[r]); ++r) {
+            if (canonical_touch(to_canonical<R>(tree[r]), ref)) {
+              emit(r);
+            }
+          }
+        },
+        [](std::vector<gidx_t>&, const SweepSource&) {});
+    std::sort(seen.begin(), seen.end());
+    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
     return seen;
-  }
-
-  /// Grid-accelerated equivalent of collect_touching_leaves for a key
-  /// staying in its source tree. The aligned cell block covered by the
-  /// key maps to the contiguous leaf range [begin[c0], end[c1]) — the
-  /// leaves intersecting the key's domain: the range-local upper_bound
-  /// finds the enclosing leaf if one exists (emitted unconditionally: an
-  /// enclosing leaf always touches the reference, which is adjacent to
-  /// the key region it contains); otherwise the key's descendants form a
-  /// contiguous run starting right at that upper_bound, filtered by the
-  /// canonical touch test exactly like the scalar path. (The scalar
-  /// path's periodic self-exclusion is vacuous here: finer-run leaves are
-  /// strictly finer than the same-level reference, so they can never
-  /// equal it.)
-  template <class Fn>
-  void resolve_touching_local(std::size_t ti, const MarkGrid& g,
-                              const CanonicalQuadrant& nc,
-                              const CanonicalQuadrant& ref, Fn&& fn) const {
-    const auto& tree = trees_[ti];
-    const int shift = kCanonicalLevel - g.level;
-    const std::uint64_t c0 =
-        cell_morton(g, nc.x >> shift, nc.y >> shift, nc.z >> shift);
-    std::uint64_t c1 = c0;
-    if (nc.level < g.level) {
-      c1 = c0 + (std::uint64_t{1} << (dim * (g.level - nc.level))) - 1;
-    }
-    const std::size_t lo = g.begin[c0];
-    const std::size_t hi = g.end[c1];
-    if (lo >= hi) {
-      return;  // defensive: a complete tree always intersects the block
-    }
-    const quad_t key = from_canonical<R>(nc);
-    const auto range_first = tree.begin() + static_cast<std::ptrdiff_t>(lo);
-    const auto range_last = tree.begin() + static_cast<std::ptrdiff_t>(hi);
-    const auto it =
-        std::upper_bound(range_first, range_last, key, RepLess<R>{});
-    if (it != range_first) {
-      const auto idx = static_cast<std::size_t>(it - tree.begin()) - 1;
-      const quad_t& leaf = tree[idx];
-      if (R::equal(leaf, key) || R::is_ancestor(leaf, key)) {
-        fn(idx);
-        return;
-      }
-    }
-    for (auto cur = it; cur != range_last; ++cur) {
-      if (!R::is_ancestor(key, *cur)) {
-        break;
-      }
-      if (canonical_touch(to_canonical<R>(*cur), ref)) {
-        fn(static_cast<std::size_t>(cur - tree.begin()));
-      }
-    }
-  }
-
-  /// Phase B worker of the batched adjacency scan: resolve one target
-  /// tree's incoming cross-tree keys (sorted by curve order) with a
-  /// sorted-merge sweep, chunked like mark_enclosing_merge — each key
-  /// chunk seeds its last-leaf-<=-key cursor with one binary search and
-  /// advances it monotonically. Enclosures emit unconditionally; finer
-  /// runs scan forward from the cursor with the canonical touch filter
-  /// against the key's translated reference. Emissions collect into
-  /// per-chunk vectors (concatenated at the end) so the chunk workers
-  /// never share a sink.
-  void resolve_touching_merge(std::size_t ti, gidx_t first, gidx_t last,
-                              bool sources,
-                              const std::vector<GhostKey>& keys,
-                              std::vector<gidx_t>& out) const {
-    const auto& tree = trees_[ti];
-    const auto t = static_cast<tree_id_t>(ti);
-    const auto n = static_cast<std::ptrdiff_t>(tree.size());
-    const std::size_t grain = chunk_grain();
-    std::vector<std::vector<gidx_t>> chunk_out(
-        batch::chunk_count(keys.size(), grain));
-    parallel_chunks(keys.size(), grain,
-                    [&](std::size_t c, std::size_t b, std::size_t e) {
-      auto& mine = chunk_out[c];
-      auto emit = [&](std::size_t leaf_idx, const GhostKey& gk) {
-        const gidx_t lg = global_index(t, leaf_idx);
-        if (lg < first || lg >= last) {
-          mine.push_back(sources ? gk.source : lg);
-        }
-      };
-      std::ptrdiff_t j =
-          std::upper_bound(tree.begin(), tree.end(), keys[b].key,
-                           RepLess<R>{}) -
-          tree.begin() - 1;
-      for (std::size_t kk = b; kk < e; ++kk) {
-        const GhostKey& gk = keys[kk];
-        while (j + 1 < n &&
-               !R::less(gk.key, tree[static_cast<std::size_t>(j + 1)])) {
-          ++j;
-        }
-        if (j >= 0) {
-          const quad_t& leaf = tree[static_cast<std::size_t>(j)];
-          if (R::equal(leaf, gk.key) || R::is_ancestor(leaf, gk.key)) {
-            emit(static_cast<std::size_t>(j), gk);
-            continue;
-          }
-        }
-        for (std::ptrdiff_t r = j + 1; r < n; ++r) {
-          const quad_t& leaf = tree[static_cast<std::size_t>(r)];
-          if (!R::is_ancestor(gk.key, leaf)) {
-            break;
-          }
-          if (canonical_touch(to_canonical<R>(leaf), gk.ref)) {
-            emit(static_cast<std::size_t>(r), gk);
-          }
-        }
-      }
-    });
-    for (const auto& mine : chunk_out) {
-      out.insert(out.end(), mine.begin(), mine.end());
-    }
   }
 
   /// Whether two canonical domains touch (share at least a point); the
@@ -2607,275 +2248,6 @@ class Forest {
     return true;
   }
 
-  template <class Fn>
-  void emit_face(tree_id_t t, std::size_t i, const quad_t& q, int f,
-                 Fn& cb) const {
-    FaceInfo<R> info;
-    info.tree[0] = t;
-    info.quad[0] = q;
-    info.leaf_index[0] = i;
-    info.face[0] = f;
-
-    const int axis = f >> 1;
-    const int dirs[3] = {axis == 0 ? ((f & 1) ? 1 : -1) : 0,
-                         axis == 1 ? ((f & 1) ? 1 : -1) : 0,
-                         axis == 2 ? ((f & 1) ? 1 : -1) : 0};
-    const auto nb = neighbor_at_offset(t, q, dirs[0], dirs[1], dirs[2]);
-    if (!nb.has_value()) {
-      info.is_boundary = true;
-      cb(info);
-      return;
-    }
-    const auto enclosing = find_enclosing_leaf(nb->tree, nb->quad);
-    if (!enclosing.has_value()) {
-      // Neighbor region is finer: those leaves emit toward us instead.
-      return;
-    }
-    const auto& ntree = trees_[static_cast<std::size_t>(nb->tree)];
-    const quad_t& leaf = ntree[*enclosing];
-    const int lq = R::level(q);
-    const int ll = R::level(leaf);
-    if (ll == lq) {
-      // Equal-size pair: the globally lower side emits.
-      if (global_index(t, i) > global_index(nb->tree, *enclosing)) {
-        return;
-      }
-    } else if (ll > lq) {
-      return;  // cannot happen for an enclosing leaf
-    } else {
-      info.is_hanging = true;  // we are the finer side
-    }
-    info.tree[1] = nb->tree;
-    info.quad[1] = leaf;
-    info.leaf_index[1] = *enclosing;
-    info.face[1] = f ^ 1;
-    cb(info);
-  }
-
-  // ------------------------------------------------ batched face iteration
-
-  /// One cross-tree face key of the batched iteration: the face-neighbor
-  /// key re-encoded in the target tree's frame plus everything needed to
-  /// rebuild side 0 of the FaceInfo once the target resolves it.
-  struct FaceKey {
-    quad_t key;
-    tree_id_t src_tree;
-    std::size_t src_leaf;
-    int face;
-  };
-
-  /// Cross-tree face keys one source tree emits into one target.
-  struct FaceBucket {
-    tree_id_t tree;
-    std::vector<FaceKey> keys;
-  };
-
-  /// Batched iterate_faces: per tree (tree-parallel), sweep the leaves in
-  /// chunks — each chunk stages its leaves into level-uniform spans with
-  /// their source indices and bulk-emits all 2*dim face-neighbor keys per
-  /// span; local keys resolve against the tree's MarkGrid, cross-tree
-  /// keys are bucketed and resolved per target with a sorted-merge sweep.
-  /// Every emission decision replays emit_face's contract on the resolved
-  /// enclosing leaf, so the emitted face SET matches the scalar path
-  /// exactly (order differs and the callback runs concurrently).
-  template <class Fn>
-  void iterate_faces_batched(Fn& cb) const {
-    const std::size_t nt = trees_.size();
-    std::vector<MarkGrid> grids(nt);
-    parallel_over(nt, [&](std::size_t ti) { build_mark_grid(ti, grids[ti]); });
-    const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
-    const std::size_t grain = chunk_grain();
-    std::vector<std::vector<FaceBucket>> buckets(nt);
-    parallel_over(nt, [&](std::size_t ti) {
-      const auto t = static_cast<tree_id_t>(ti);
-      const auto& tree = trees_[ti];
-      const MarkGrid& grid = grids[ti];
-      const std::size_t nchunks = batch::chunk_count(tree.size(), grain);
-      std::vector<std::vector<FaceBucket>> chunk_buckets(nchunks);
-      parallel_chunks(tree.size(), grain,
-                      [&](std::size_t c, std::size_t cb_, std::size_t ce) {
-        auto& my_buckets = chunk_buckets[c];
-        auto bucket_for = [&](tree_id_t target) -> std::vector<FaceKey>& {
-          for (FaceBucket& bk : my_buckets) {
-            if (bk.tree == target) {
-              return bk.keys;
-            }
-          }
-          my_buckets.push_back(FaceBucket{target, {}});
-          return my_buckets.back().keys;
-        };
-        IndexedSpanStage<R> staged;
-        for (std::size_t i = cb_; i < ce; ++i) {
-          staged.add(tree[i], i);
-        }
-        std::vector<std::int64_t> ox, oy, oz;
-        for (std::size_t l = 0; l < staged.num_levels(); ++l) {
-          const auto& span = staged.span(l);
-          if (span.empty()) {
-            continue;
-          }
-          const auto& src = staged.sources(l);
-          ox.resize(span.size());
-          oy.resize(span.size());
-          oz.resize(span.size());
-          for (int f = 0; f < dims::num_faces; ++f) {
-            const int axis = f >> 1;
-            const int sign = (f & 1) ? 1 : -1;
-            const int dx = axis == 0 ? sign : 0;
-            const int dy = axis == 1 ? sign : 0;
-            const int dz = axis == 2 ? sign : 0;
-            BatchOps<R>::neighbor_at_offset_n(span.data(), ox.data(),
-                                              oy.data(), oz.data(),
-                                              span.size(), dx, dy, dz,
-                                              static_cast<int>(l));
-            for (std::size_t i = 0; i < span.size(); ++i) {
-              std::int64_t pos[3] = {ox[i], oy[i], oz[i]};
-              std::array<int, 3> step = {0, 0, 0};
-              for (int a = 0; a < dim; ++a) {
-                if (pos[a] < 0) {
-                  step[a] = -1;
-                  pos[a] += root;
-                } else if (pos[a] >= root) {
-                  step[a] = 1;
-                  pos[a] -= root;
-                }
-              }
-              tree_id_t target = t;
-              if (step[0] != 0 || step[1] != 0 || step[2] != 0) {
-                target = conn_.tree_offset_neighbor(t, step[0], step[1],
-                                                    step[2]);
-              }
-              if (target < 0) {
-                FaceInfo<R> info;
-                info.tree[0] = t;
-                info.quad[0] = span[i];
-                info.leaf_index[0] = src[i];
-                info.face[0] = f;
-                info.is_boundary = true;
-                cb(info);
-                continue;
-              }
-              const CanonicalQuadrant nc{pos[0], pos[1], pos[2],
-                                         static_cast<int>(l)};
-              if (target != t) {
-                bucket_for(target).push_back(
-                    FaceKey{from_canonical<R>(nc), t, src[i], f});
-                continue;
-              }
-              const auto enclosing = resolve_enclosing_grid(ti, grid, nc);
-              if (!enclosing.has_value()) {
-                continue;  // neighbor region finer: it emits toward us
-              }
-              const quad_t& leaf = tree[*enclosing];
-              const int ll = R::level(leaf);
-              FaceInfo<R> info;
-              info.tree[0] = t;
-              info.quad[0] = span[i];
-              info.leaf_index[0] = src[i];
-              info.face[0] = f;
-              if (ll == static_cast<int>(l)) {
-                if (global_index(t, src[i]) >
-                    global_index(t, *enclosing)) {
-                  continue;  // equal-size pair: the lower side emits
-                }
-              } else {
-                info.is_hanging = true;  // we are the finer side
-              }
-              info.tree[1] = t;
-              info.quad[1] = leaf;
-              info.leaf_index[1] = *enclosing;
-              info.face[1] = f ^ 1;
-              cb(info);
-            }
-          }
-        }
-      });
-      auto& tb = buckets[ti];
-      for (auto& cbk : chunk_buckets) {
-        for (FaceBucket& bk : cbk) {
-          const auto it = std::find_if(
-              tb.begin(), tb.end(),
-              [&](const FaceBucket& o) { return o.tree == bk.tree; });
-          if (it == tb.end()) {
-            tb.push_back(std::move(bk));
-          } else {
-            it->keys.insert(it->keys.end(), bk.keys.begin(), bk.keys.end());
-          }
-        }
-      }
-    });
-    std::vector<std::vector<const std::vector<FaceKey>*>> incoming(nt);
-    for (const auto& per_source : buckets) {
-      for (const FaceBucket& bk : per_source) {
-        incoming[static_cast<std::size_t>(bk.tree)].push_back(&bk.keys);
-      }
-    }
-    parallel_over(nt, [&](std::size_t ti) {
-      if (incoming[ti].empty()) {
-        return;
-      }
-      const auto& tree = trees_[ti];
-      const auto n = static_cast<std::ptrdiff_t>(tree.size());
-      std::size_t total = 0;
-      for (const auto* keys : incoming[ti]) {
-        total += keys->size();
-      }
-      std::vector<FaceKey> keys;
-      keys.reserve(total);
-      for (const auto* part : incoming[ti]) {
-        keys.insert(keys.end(), part->begin(), part->end());
-      }
-      std::sort(keys.begin(), keys.end(),
-                [](const FaceKey& x, const FaceKey& y) {
-                  return R::less(x.key, y.key);
-                });
-      parallel_chunks(keys.size(), grain,
-                      [&](std::size_t, std::size_t b, std::size_t e) {
-        std::ptrdiff_t j =
-            std::upper_bound(tree.begin(), tree.end(), keys[b].key,
-                             RepLess<R>{}) -
-            tree.begin() - 1;
-        for (std::size_t kk = b; kk < e; ++kk) {
-          const FaceKey& fk = keys[kk];
-          while (j + 1 < n &&
-                 !R::less(fk.key, tree[static_cast<std::size_t>(j + 1)])) {
-            ++j;
-          }
-          if (j < 0) {
-            continue;
-          }
-          const quad_t& leaf = tree[static_cast<std::size_t>(j)];
-          if (!R::equal(leaf, fk.key) && !R::is_ancestor(leaf, fk.key)) {
-            continue;  // neighbor region finer: it emits toward us
-          }
-          const quad_t& srcq =
-              trees_[static_cast<std::size_t>(fk.src_tree)][fk.src_leaf];
-          const int lq = R::level(srcq);
-          const int ll = R::level(leaf);
-          FaceInfo<R> info;
-          info.tree[0] = fk.src_tree;
-          info.quad[0] = srcq;
-          info.leaf_index[0] = fk.src_leaf;
-          info.face[0] = fk.face;
-          if (ll == lq) {
-            if (global_index(fk.src_tree, fk.src_leaf) >
-                global_index(static_cast<tree_id_t>(ti),
-                             static_cast<std::size_t>(j))) {
-              continue;  // equal-size pair: the lower side emits
-            }
-          } else {
-            info.is_hanging = true;  // source is the finer side
-          }
-          info.tree[1] = static_cast<tree_id_t>(ti);
-          info.quad[1] = leaf;
-          info.leaf_index[1] = static_cast<std::size_t>(j);
-          info.face[1] = fk.face ^ 1;
-          cb(info);
-        }
-      });
-    });
-  }
-
   // ----------------------------------------------------- point search core
 
   /// Representation key of a query point: the max_level quadrant whose
@@ -2886,20 +2258,6 @@ class Forest {
         ~((std::int64_t{1} << (kCanonicalLevel - R::max_level)) - 1);
     return from_canonical<R>(
         CanonicalQuadrant{p.x & mask, p.y & mask, p.z & mask, R::max_level});
-  }
-
-  /// Scalar point location: the containing leaf is the last leaf <= the
-  /// point's max_level key in curve order (an enclosure relation, so
-  /// upper_bound - 1; a complete tree always contains the point, hence
-  /// the assert).
-  [[nodiscard]] gidx_t search_point_scalar(const PointQuery& p) const {
-    const auto& tree = trees_[static_cast<std::size_t>(p.tree)];
-    const quad_t key = point_key(p);
-    const auto it =
-        std::upper_bound(tree.begin(), tree.end(), key, RepLess<R>{});
-    assert(it != tree.begin());
-    return global_index(p.tree,
-                        static_cast<std::size_t>(it - tree.begin()) - 1);
   }
 
   Connectivity conn_;

@@ -12,27 +12,6 @@ Communicator::Communicator(int size) : size_(size) {
   }
 }
 
-std::vector<std::int64_t> Communicator::exscan(
-    const std::vector<std::int64_t>& values) const {
-  assert(static_cast<int>(values.size()) == size_);
-  std::vector<std::int64_t> out(values.size() + 1, 0);
-  if (size_ == 1) {
-    out[1] = values[0];
-    return out;
-  }
-  // Each rank computes its own prefix through the message queue and
-  // writes its private slot; the last rank also closes the total.
-  run_ranks([&](RankCtx& ctx) {
-    const auto r = static_cast<std::size_t>(ctx.rank());
-    const std::int64_t prefix = ctx.exscan(values[r]);
-    out[r] = prefix;
-    if (ctx.rank() == size_ - 1) {
-      out[r + 1] = prefix + values[r];
-    }
-  });
-  return out;
-}
-
 std::vector<std::int64_t> Communicator::block_distribution(
     std::int64_t n) const {
   std::vector<std::int64_t> offsets(size_ + 1);

@@ -4,21 +4,15 @@
 ///
 /// The paper benchmarks on up to 512 MPI cores. This container has no MPI;
 /// we reproduce the *semantics* the AMR algorithms rely on — rank counts,
-/// contiguous rank ranges over the global quadrant sequence, prefix sums,
-/// gathers — with deterministic in-process execution. Since PR 8 the
-/// substrate is a real sharded runtime (message_queue.hpp): run_ranks
-/// spawns one worker thread per rank, wired to per-rank MPSC mailboxes,
-/// and the collectives here are thin synchronous wrappers over the
-/// message-passing versions on RankCtx. The Communicator itself stays a
-/// cheap copyable value (Forest stores one by value); mailboxes live only
-/// for the duration of a run_ranks call.
+/// contiguous rank ranges over the global quadrant sequence — with
+/// deterministic in-process execution. The substrate is a real sharded
+/// runtime (message_queue.hpp): run_ranks spawns one worker thread per
+/// rank, wired to per-rank MPSC mailboxes, and the collectives (exscan,
+/// allgather, alltoallv, barrier) are the message-passing ones on RankCtx.
+/// The Communicator itself stays a cheap copyable value (Forest stores one
+/// by value); mailboxes live only for the duration of a run_ranks call.
 
-#include <atomic>
-#include <cassert>
 #include <cstdint>
-#include <cstring>
-#include <numeric>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -41,47 +35,6 @@ class Communicator {
   void run_ranks(Fn&& fn) const {
     RankGroup group(size_);
     group.run(std::forward<Fn>(fn));
-  }
-
-  /// Exclusive prefix sum over one value per rank (MPI_Exscan + final sum):
-  /// result has size()+1 entries, result[r] = sum of values[0..r).
-  /// Synchronous wrapper over RankCtx::exscan — each rank contributes
-  /// values[r] through the message queue; single-rank calls stay serial.
-  [[nodiscard]] std::vector<std::int64_t> exscan(
-      const std::vector<std::int64_t>& values) const;
-
-  /// Real per-rank gather: rank r contributes values[r], every rank
-  /// gathers the full vector through the message queue, and all gathered
-  /// copies are verified byte-identical before one is returned. The
-  /// single-rank fast path returns the input unchanged.
-  template <class T>
-  [[nodiscard]] std::vector<T> allgather(const std::vector<T>& values) const {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "allgather element must be trivially copyable");
-    assert(static_cast<int>(values.size()) == size_);
-    if (size_ == 1) {
-      return values;
-    }
-    std::vector<T> out(values.size());
-    std::atomic<int> mismatches{0};
-    run_ranks([&](RankCtx& ctx) {
-      const std::vector<T> gathered =
-          ctx.allgather(values[static_cast<std::size_t>(ctx.rank())]);
-      if (gathered.size() != values.size() ||
-          std::memcmp(gathered.data(), values.data(),
-                      values.size() * sizeof(T)) != 0) {
-        // mo: relaxed — error tally; read only after run_ranks joined.
-        mismatches.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (ctx.rank() == 0) {
-        out = gathered;
-      }
-    });
-    // mo: relaxed — writers joined in run_ranks; the join orders them.
-    assert(mismatches.load(std::memory_order_relaxed) == 0 &&
-           "allgather: ranks disagree");
-    (void)mismatches;
-    return out;
   }
 
   /// Split \p n items into size() contiguous chunks as evenly as possible

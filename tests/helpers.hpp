@@ -1,13 +1,16 @@
 #pragma once
 /// \file helpers.hpp
 /// \brief Shared test utilities: random quadrant generation, the list of
-/// representation types under test, and canonical-form matchers.
+/// representation types under test, canonical-form matchers, and guards
+/// for the process-global kernel and chunk-grain switches.
 
 #include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/batch_ops.hpp"
 #include "core/canonical.hpp"
 #include "core/debug_check.hpp"
 #include "core/quadrant_avx.hpp"
@@ -15,6 +18,7 @@
 #include "core/quadrant_std.hpp"
 #include "core/quadrant_wide.hpp"
 #include "core/rep_traits.hpp"
+#include "forest/forest.hpp"
 #include "util/random.hpp"
 
 namespace qforest::test {
@@ -82,6 +86,46 @@ template <class RA, class RB>
          << RA::name << "(" << ca.x << "," << ca.y << "," << ca.z << ",l"
          << ca.level << ") vs " << RB::name << "(" << cb.x << "," << cb.y
          << "," << cb.z << ",l" << cb.level << ")";
+}
+
+/// Restores the process-global kernel switch even when an ASSERT_ bails
+/// out of the test body, so later tests never run with stale state.
+struct BatchFlagGuard {
+  explicit BatchFlagGuard(bool on) : saved_(batch::enabled()) {
+    batch::set_enabled(on);
+  }
+  ~BatchFlagGuard() { batch::set_enabled(saved_); }
+  BatchFlagGuard(const BatchFlagGuard&) = delete;
+  BatchFlagGuard& operator=(const BatchFlagGuard&) = delete;
+  bool saved_;
+};
+
+/// Restores the chunk grain (tests shrink it to force many chunks).
+struct ChunkGrainGuard {
+  explicit ChunkGrainGuard(std::size_t grain) : saved_(chunk_grain()) {
+    set_chunk_grain(grain);
+  }
+  ~ChunkGrainGuard() { set_chunk_grain(saved_); }
+  ChunkGrainGuard(const ChunkGrainGuard&) = delete;
+  ChunkGrainGuard& operator=(const ChunkGrainGuard&) = delete;
+  std::size_t saved_;
+};
+
+/// Run \p fn under both kernel settings (batch kernels on, then the
+/// generic loops) and, for each, at the default chunk grain and at
+/// \p tiny_grain, which puts a chunk seam every few leaves and keys.
+template <class Fn>
+void for_each_kernel_and_grain(std::size_t tiny_grain, Fn&& fn) {
+  for (const bool kernels : {true, false}) {
+    const BatchFlagGuard flag(kernels);
+    for (const std::size_t grain : {std::size_t{0}, tiny_grain}) {
+      const ChunkGrainGuard chunks(grain == 0 ? chunk_grain() : grain);
+      SCOPED_TRACE(::testing::Message()
+                   << "batch kernels " << (kernels ? "on" : "off")
+                   << ", chunk grain " << chunk_grain());
+      fn();
+    }
+  }
 }
 
 /// All shipped representations, used by TYPED_TEST suites.

@@ -1,62 +1,52 @@
 /// \file test_balance_cross_tree.cpp
-/// \brief Cross-tree balance marking parity: the batched mark phase
-/// (bulk neighbor keys + sorted-merge lookup) and the scalar per-quadrant
-/// reference path (QFOREST_NO_BATCH semantics via batch::set_enabled) must
-/// produce identical final meshes when the 2:1 ripple crosses one tree
-/// face, two faces (diagonal tree_step on 2 axes) and — in 3D — tree
-/// edges and corners (tree_step on 3 axes), including periodic wrap where
-/// the "neighbor" tree is the source tree itself.
+/// \brief Balance parity against the per-quadrant oracle
+/// (tests/forest_oracle.hpp): the library's balance — one neighbor-key
+/// sweep with bulk keys and sorted-merge lookups — must produce the
+/// oracle's final mesh, and is_balanced must agree with the oracle's,
+/// under both kernel settings and tiny chunk grains, when the 2:1 ripple
+/// crosses one tree face, two faces (diagonal tree_step on 2 axes) and —
+/// in 3D — tree edges and corners (tree_step on 3 axes), including
+/// periodic wrap where the "neighbor" tree is the source tree itself.
 
 #include <cstdint>
 #include <utility>
 
 #include <gtest/gtest.h>
 
-#include "core/batch_ops.hpp"
 #include "forest/forest.hpp"
+#include "forest_oracle.hpp"
 #include "helpers.hpp"
 
 namespace qforest {
 namespace {
 
-/// Restores the process-global dispatch flag even when an ASSERT_ bails
-/// out of the test body, so later tests never run with stale state.
-struct BatchFlagGuard {
-  explicit BatchFlagGuard(bool on) : saved_(batch::enabled()) {
-    batch::set_enabled(on);
-  }
-  ~BatchFlagGuard() { batch::set_enabled(saved_); }
-  bool saved_;
-};
-
-/// Balance two copies of \p f — one per mark-phase implementation — and
-/// require bit-identical leaf arrays tree for tree. Balance only ever
-/// splits, so equal final meshes imply the two mark phases requested the
-/// same cumulative split sets.
+/// Balance \p f with the oracle and with the library, under every kernel
+/// setting and chunk grain, and require bit-identical leaf arrays tree for
+/// tree; is_balanced must match the oracle's before and after. Balance
+/// only ever splits, so equal final meshes imply the two mark phases
+/// requested the same cumulative split sets.
 template <class R>
 void expect_mark_parity(const Forest<R>& f, BalanceKind kind) {
-  Forest<R> scalar = f;
-  {
-    const BatchFlagGuard guard(false);
-    scalar.balance(kind);
-  }
-  Forest<R> batched = f;
-  {
-    const BatchFlagGuard guard(true);
-    batched.balance(kind);
-  }
-  ASSERT_TRUE(batched.is_valid()) << R::name;
-  ASSERT_TRUE(batched.is_balanced(kind)) << R::name;
-  ASSERT_EQ(scalar.num_quadrants(), batched.num_quadrants()) << R::name;
-  for (tree_id_t t = 0; t < f.num_trees(); ++t) {
-    const auto& st = scalar.tree_quadrants(t);
-    const auto& bt = batched.tree_quadrants(t);
-    ASSERT_EQ(st.size(), bt.size()) << R::name << " tree " << t;
-    for (std::size_t i = 0; i < st.size(); ++i) {
-      ASSERT_TRUE(R::equal(st[i], bt[i]))
-          << R::name << " tree " << t << " leaf " << i;
+  Forest<R> reference = f;
+  oracle::balance(reference, kind);
+  ASSERT_TRUE(oracle::is_balanced(reference, kind)) << R::name;
+  test::for_each_kernel_and_grain(3, [&] {
+    EXPECT_EQ(f.is_balanced(kind), oracle::is_balanced(f, kind)) << R::name;
+    Forest<R> balanced = f;
+    balanced.balance(kind);
+    ASSERT_TRUE(balanced.is_valid()) << R::name;
+    ASSERT_TRUE(balanced.is_balanced(kind)) << R::name;
+    ASSERT_EQ(reference.num_quadrants(), balanced.num_quadrants()) << R::name;
+    for (tree_id_t t = 0; t < f.num_trees(); ++t) {
+      const auto& rt = reference.tree_quadrants(t);
+      const auto& bt = balanced.tree_quadrants(t);
+      ASSERT_EQ(rt.size(), bt.size()) << R::name << " tree " << t;
+      for (std::size_t i = 0; i < rt.size(); ++i) {
+        ASSERT_TRUE(R::equal(rt[i], bt[i]))
+            << R::name << " tree " << t << " leaf " << i;
+      }
     }
-  }
+  });
 }
 
 /// Refine the chain of leaves hugging the given corner of tree \p which
@@ -92,11 +82,7 @@ Forest<R> corner_refined(Connectivity conn, tree_id_t which, unsigned corner,
 template <class R>
 class CrossTreeBalanceT : public ::testing::Test {};
 
-using CrossReps =
-    ::testing::Types<StandardRep<2>, MortonRep<2>, AvxRep<2>,
-                     StandardRep<3>, MortonRep<3>, AvxRep<3>,
-                     WideMortonRep<3>>;
-TYPED_TEST_SUITE(CrossTreeBalanceT, CrossReps);
+TYPED_TEST_SUITE(CrossTreeBalanceT, test::AllReps);
 
 TYPED_TEST(CrossTreeBalanceT, SingleFaceCrossing) {
   using R = TypeParam;

@@ -191,15 +191,7 @@ TYPED_TEST(BatchDispatchT, MatchesScalarOps) {
   check_all_sizes<TypeParam>(42);
 }
 
-/// Restores the process-global dispatch flag even when an ASSERT_ bails
-/// out of the test body, so later tests never run with stale state.
-struct BatchFlagGuard {
-  explicit BatchFlagGuard(bool on) : saved_(batch::enabled()) {
-    batch::set_enabled(on);
-  }
-  ~BatchFlagGuard() { batch::set_enabled(saved_); }
-  bool saved_;
-};
+using test::BatchFlagGuard;
 
 TYPED_TEST(BatchDispatchT, ScalarDispatchPathMatches) {
   // Force the generic scalar bodies even where SIMD kernels exist — the

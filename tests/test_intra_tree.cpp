@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "forest/forest.hpp"
+#include "forest_oracle.hpp"
 #include "helpers.hpp"
 
 namespace qforest {
@@ -27,20 +28,17 @@ class IntraTreeEnv : public ::testing::Test {
     saved_tree_ = tree_parallelism();
     saved_intra_ = intra_tree_parallelism();
     saved_grain_ = chunk_grain();
-    saved_batch_ = batch::enabled();
   }
   void TearDown() override {
     set_tree_parallelism(saved_tree_);
     set_intra_tree_parallelism(saved_intra_);
     set_chunk_grain(saved_grain_);
-    batch::set_enabled(saved_batch_);
   }
 
  private:
   bool saved_tree_ = true;
   bool saved_intra_ = true;
   std::size_t saved_grain_ = 0;
-  bool saved_batch_ = true;
 };
 
 template <class R>
@@ -174,31 +172,31 @@ TEST_F(IntraTreeEnv, MultiTreeTinyChunksMatchSerial) {
   EXPECT_TRUE(same_forest(reference, chunked));
 }
 
-TEST_F(IntraTreeEnv, BalanceGridReuseAcrossFixpointIterationsMatchesScalar) {
+TEST_F(IntraTreeEnv, BalanceGridReuseAcrossFixpointIterationsMatchesOracle) {
   // A corner chain refined far past its neighbors forces several balance
   // fixpoint iterations, so grids of unchanged trees get reused while
   // dirty trees rebuild theirs.
   auto build = [] {
     auto f = Forest<R3>::new_uniform(Connectivity::brick3d(2, 1, 1), 1);
+    f.enable_payload(3);
     f.refine(true, [](tree_id_t t, const R3::quad_t& q) {
       return t == 0 && R3::level(q) < 6 && R3::level_index(q) == 0;
     });
     return f;
   };
-  auto scalar = build();
-  batch::set_enabled(false);
-  scalar.balance(BalanceKind::kFull);
-  auto batched = build();
-  batch::set_enabled(true);
-  set_chunk_grain(5);
-  batched.balance(BalanceKind::kFull);
-  EXPECT_TRUE(scalar.is_balanced(BalanceKind::kFull));
-  EXPECT_TRUE(same_forest(scalar, batched));
-  // Reuse must also keep the no-op property: a second balance changes
-  // nothing.
-  const gidx_t leaves = batched.num_quadrants();
-  batched.balance(BalanceKind::kFull);
-  EXPECT_EQ(batched.num_quadrants(), leaves);
+  auto reference = build();
+  oracle::balance(reference, BalanceKind::kFull);
+  EXPECT_TRUE(oracle::is_balanced(reference, BalanceKind::kFull));
+  test::for_each_kernel_and_grain(5, [&] {
+    auto balanced = build();
+    balanced.balance(BalanceKind::kFull);
+    EXPECT_TRUE(same_forest(reference, balanced));
+    // Reuse must also keep the no-op property: a second balance changes
+    // nothing.
+    const gidx_t leaves = balanced.num_quadrants();
+    balanced.balance(BalanceKind::kFull);
+    EXPECT_EQ(balanced.num_quadrants(), leaves);
+  });
 }
 
 /// Structural consistency after a callback throw: the exception must

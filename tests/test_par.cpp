@@ -22,52 +22,6 @@ TEST(Communicator, SizeValidation) {
   EXPECT_EQ(Communicator(4).size(), 4);
 }
 
-TEST(Communicator, ExscanPrefixSums) {
-  Communicator comm(4);
-  const auto out = comm.exscan({3, 1, 4, 1});
-  ASSERT_EQ(out.size(), 5u);
-  EXPECT_EQ(out[0], 0);
-  EXPECT_EQ(out[1], 3);
-  EXPECT_EQ(out[2], 4);
-  EXPECT_EQ(out[3], 8);
-  EXPECT_EQ(out[4], 9);
-}
-
-TEST(Communicator, ExscanSizeOneFastPath) {
-  Communicator comm(1);
-  const auto out = comm.exscan({42});
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], 0);
-  EXPECT_EQ(out[1], 42);
-}
-
-TEST(Communicator, ExscanOverZeros) {
-  Communicator comm(5);
-  const auto out = comm.exscan({0, 0, 0, 0, 0});
-  ASSERT_EQ(out.size(), 6u);
-  for (const std::int64_t v : out) {
-    EXPECT_EQ(v, 0);
-  }
-  // Zeros mixed with values: empty ranks must not shift the prefixes.
-  const auto mixed = comm.exscan({0, 7, 0, 0, 2});
-  const std::vector<std::int64_t> want{0, 0, 7, 7, 7, 9};
-  EXPECT_EQ(mixed, want);
-}
-
-TEST(Communicator, AllgatherIsARealPerRankGather) {
-  // Rank r contributes values[r]; the gathered vector must reproduce the
-  // per-rank contributions (and be a fresh vector, not the caller's).
-  Communicator comm(4);
-  const std::vector<std::int64_t> values{10, 21, 32, 43};
-  const auto gathered = comm.allgather(values);
-  EXPECT_EQ(gathered, values);
-  EXPECT_NE(gathered.data(), values.data());
-  // Single-rank fast path.
-  Communicator one(1);
-  const std::vector<int> single{5};
-  EXPECT_EQ(one.allgather(single), single);
-}
-
 TEST(Communicator, OwnerOfAtExactOffsetBoundaries) {
   // Offsets with empty ranks: {0,3,3,7,7,9}. A boundary index belongs to
   // the *last* rank whose range starts there — empty ranks own nothing.

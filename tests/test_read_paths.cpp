@@ -1,45 +1,28 @@
 /// \file test_read_paths.cpp
-/// \brief Batched-vs-scalar parity of the read-side consumer paths:
-/// ghost_layer (multi-rank, cross-tree, periodic wrap), mirrors (one-pass
-/// == per-rank recomputation), iterate_faces (hanging + boundary faces,
-/// unbalanced forests) and search_points (vs per-point search), on both
-/// dispatch paths and under tiny chunk grains that force many chunks.
+/// \brief Parity of the read-side consumer paths against the per-quadrant
+/// oracle (tests/forest_oracle.hpp): ghost_layer (multi-rank, cross-tree,
+/// periodic wrap), mirrors (also == per-rank recomputation), iterate_faces
+/// (hanging + boundary faces, unbalanced forests) and search_points, under
+/// both kernel settings and tiny chunk grains that force many chunks.
 
 #include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "forest/forest.hpp"
 #include "forest/vforest.hpp"
+#include "forest_oracle.hpp"
 #include "helpers.hpp"
 #include "util/random.hpp"
 
 namespace qforest {
 namespace {
-
-/// Restores the process-global dispatch flag even when an ASSERT_ bails
-/// out of the test body.
-struct BatchFlagGuard {
-  explicit BatchFlagGuard(bool on) : saved_(batch::enabled()) {
-    batch::set_enabled(on);
-  }
-  ~BatchFlagGuard() { batch::set_enabled(saved_); }
-  bool saved_;
-};
-
-/// Restores the chunk grain (tests shrink it to force many chunks).
-struct ChunkGrainGuard {
-  explicit ChunkGrainGuard(std::size_t grain) : saved_(chunk_grain()) {
-    set_chunk_grain(grain);
-  }
-  ~ChunkGrainGuard() { set_chunk_grain(saved_); }
-  std::size_t saved_;
-};
 
 /// A mixed-level forest: refine a deterministic scatter of leaves so the
 /// mesh has hanging interfaces in every tree.
@@ -53,46 +36,43 @@ Forest<R> make_refined(Connectivity conn, int base, int ranks) {
   return f;
 }
 
-/// Every rank's ghost set as sorted global indices.
+/// Every rank's ghost set and mirror set as sorted global indices, from
+/// the library (\p use_oracle false) or from the oracle.
 template <class R>
-std::vector<std::vector<gidx_t>> ghost_sets(const Forest<R>& f) {
-  std::vector<std::vector<gidx_t>> out;
+std::pair<std::vector<std::vector<gidx_t>>, std::vector<std::vector<gidx_t>>>
+adjacency_sets(const Forest<R>& f, bool use_oracle) {
+  std::vector<std::vector<gidx_t>> ghosts, mirrors;
   for (int r = 0; r < f.num_ranks(); ++r) {
+    const GhostLayer<R> layer =
+        use_oracle ? oracle::ghost_layer(f, r) : f.ghost_layer(r);
     std::vector<gidx_t> g;
-    for (const auto& e : f.ghost_layer(r).entries) {
+    for (const auto& e : layer.entries) {
       g.push_back(e.global_index);
     }
-    out.push_back(std::move(g));
+    ghosts.push_back(std::move(g));
+    mirrors.push_back(use_oracle ? oracle::mirrors(f, r) : f.mirrors(r));
   }
-  return out;
+  return {ghosts, mirrors};
 }
 
+/// Ghost sets and mirrors must match the oracle's under every kernel
+/// setting; the tiny grain makes every chunk boundary a seam the sweep
+/// must handle (span staging, cursor seeding, bucket merging).
 template <class R>
 void expect_ghost_parity(const Forest<R>& f) {
-  std::vector<std::vector<gidx_t>> scalar, batched;
-  {
-    const BatchFlagGuard guard(false);
-    scalar = ghost_sets(f);
-  }
-  {
-    const BatchFlagGuard guard(true);
-    batched = ghost_sets(f);
-  }
-  ASSERT_EQ(scalar.size(), batched.size());
-  for (std::size_t r = 0; r < scalar.size(); ++r) {
-    EXPECT_EQ(scalar[r], batched[r]) << R::name << " rank " << r;
-  }
-  // Tiny grain: every chunk boundary becomes a seam the batched scan must
-  // handle (span staging, cursor seeding, bucket merging).
-  {
-    const BatchFlagGuard guard(true);
-    const ChunkGrainGuard grain(3);
-    EXPECT_EQ(ghost_sets(f), scalar) << R::name << " grain=3";
-  }
+  const auto reference = adjacency_sets(f, true);
+  test::for_each_kernel_and_grain(3, [&] {
+    const auto got = adjacency_sets(f, false);
+    ASSERT_EQ(got.first.size(), reference.first.size());
+    for (std::size_t r = 0; r < got.first.size(); ++r) {
+      EXPECT_EQ(got.first[r], reference.first[r]) << R::name << " rank " << r;
+      EXPECT_EQ(got.second[r], reference.second[r])
+          << R::name << " mirrors of rank " << r;
+    }
+  });
 }
 
 using S2 = StandardRep<2>;
-using M3 = MortonRep<3>;
 
 template <class R>
 class ReadPathsT : public ::testing::Test {};
@@ -105,21 +85,28 @@ TYPED_TEST(ReadPathsT, GhostParityMultiRank) {
       make_refined<R>(Connectivity::unit(R::dim), base, 4));
 }
 
-TEST(ReadPaths, GhostParityCrossTree2D) {
-  expect_ghost_parity(make_refined<S2>(Connectivity::brick2d(3, 2), 2, 5));
+/// Multi-tree bricks (keys cross tree faces, edges and corners) and
+/// periodic ones (keys also wrap back into the source tree: target == t
+/// after the wrap).
+template <class R>
+std::vector<std::pair<Connectivity, int>> brick_meshes() {
+  if constexpr (R::dim == 2) {
+    return {{Connectivity::brick2d(3, 2), 2},
+            {Connectivity::brick2d(1, 1, true, true), 3},
+            {Connectivity::brick2d(2, 1, true, true), 2}};
+  } else {
+    return {{Connectivity::brick3d(2, 2, 2), 1},
+            {Connectivity::brick3d(1, 1, 1, true, true, true), 2},
+            {Connectivity::brick3d(2, 1, 2, false, true, false), 1}};
+  }
 }
 
-TEST(ReadPaths, GhostParityCrossTree3D) {
-  expect_ghost_parity(make_refined<M3>(Connectivity::brick3d(2, 2, 2), 1, 3));
-}
-
-TEST(ReadPaths, GhostParityPeriodicWrap) {
-  // Periodic in both directions: neighbor keys wrap back into the source
-  // tree (target == t after the wrap) and into sibling trees.
-  expect_ghost_parity(
-      make_refined<S2>(Connectivity::brick2d(1, 1, true, true), 3, 4));
-  expect_ghost_parity(
-      make_refined<S2>(Connectivity::brick2d(2, 1, true, true), 2, 3));
+TYPED_TEST(ReadPathsT, GhostParityCrossTreeAndPeriodic) {
+  using R = TypeParam;
+  int ranks = 3;
+  for (const auto& [conn, base] : brick_meshes<R>()) {
+    expect_ghost_parity(make_refined<R>(conn, base, ranks++));
+  }
 }
 
 TEST(ReadPaths, MirrorsMatchPerRankRecomputation) {
@@ -145,35 +132,37 @@ TEST(ReadPaths, MirrorsMatchPerRankRecomputation) {
   }
 }
 
-/// Order-independent face fingerprint: one canonical tuple per emission.
+using FaceTuple = std::tuple<bool, bool, tree_id_t, std::size_t, int,
+                             tree_id_t, std::size_t, int>;
+
+/// Order-independent face fingerprint: one canonical tuple per emission,
+/// from the library's concurrent iterate_faces or the oracle's serial one.
 template <class R>
-std::multiset<std::tuple<bool, bool, tree_id_t, std::size_t, int, tree_id_t,
-                         std::size_t, int>>
-face_fingerprint(const Forest<R>& f) {
-  std::multiset<std::tuple<bool, bool, tree_id_t, std::size_t, int,
-                           tree_id_t, std::size_t, int>>
-      out;
+std::multiset<FaceTuple> face_fingerprint(const Forest<R>& f,
+                                          bool use_oracle) {
+  std::multiset<FaceTuple> out;
   std::mutex mu;
-  f.iterate_faces([&](const FaceInfo<R>& info) {
+  const auto record = [&](const FaceInfo<R>& info) {
     const std::lock_guard<std::mutex> lock(mu);
     out.insert({info.is_boundary, info.is_hanging, info.tree[0],
                 info.leaf_index[0], info.face[0], info.tree[1],
                 info.leaf_index[1], info.face[1]});
-  });
+  };
+  if (use_oracle) {
+    oracle::iterate_faces(f, record);
+  } else {
+    f.iterate_faces(record);
+  }
   return out;
 }
 
 template <class R>
 void expect_iterate_parity(const Forest<R>& f) {
-  const BatchFlagGuard scalar_guard(false);
-  const auto scalar = face_fingerprint(f);
-  ASSERT_FALSE(scalar.empty());
-  {
-    const BatchFlagGuard guard(true);
-    EXPECT_EQ(face_fingerprint(f), scalar) << R::name;
-    const ChunkGrainGuard grain(2);
-    EXPECT_EQ(face_fingerprint(f), scalar) << R::name << " grain=2";
-  }
+  const auto reference = face_fingerprint(f, true);
+  ASSERT_FALSE(reference.empty());
+  test::for_each_kernel_and_grain(2, [&] {
+    EXPECT_EQ(face_fingerprint(f, false), reference) << R::name;
+  });
 }
 
 TYPED_TEST(ReadPathsT, IterateFacesParityHangingAndBoundary) {
@@ -196,12 +185,11 @@ TEST(ReadPaths, IterateFacesParityUnbalanced) {
   expect_iterate_parity(f);
 }
 
-TEST(ReadPaths, IterateFacesParityCrossTreeAndPeriodic) {
-  expect_iterate_parity(make_refined<S2>(Connectivity::brick2d(3, 2), 2, 1));
-  expect_iterate_parity(
-      make_refined<S2>(Connectivity::brick2d(2, 2, true, true), 2, 1));
-  expect_iterate_parity(
-      make_refined<M3>(Connectivity::brick3d(2, 1, 2), 1, 1));
+TYPED_TEST(ReadPathsT, IterateFacesParityCrossTreeAndPeriodic) {
+  using R = TypeParam;
+  for (const auto& [conn, base] : brick_meshes<R>()) {
+    expect_iterate_parity(make_refined<R>(conn, base, 1));
+  }
 }
 
 /// Random in-domain canonical points, biased toward leaf boundaries (the
@@ -232,28 +220,20 @@ std::vector<PointQuery> random_points(Xoshiro256& rng, int dim,
   return pts;
 }
 
-TYPED_TEST(ReadPathsT, SearchPointsMatchesPerPointScalar) {
+TYPED_TEST(ReadPathsT, SearchPointsMatchesOracle) {
   using R = TypeParam;
   const int base = R::dim == 3 ? 2 : 3;
   const auto f =
       make_refined<R>(Connectivity::unit(R::dim), base, 1);
   Xoshiro256 rng(2024);
   const auto pts = random_points(rng, R::dim, f.num_trees(), 500);
-  std::vector<gidx_t> scalar, batched;
-  {
-    const BatchFlagGuard guard(false);
-    scalar = f.search_points(pts);
-  }
-  {
-    const BatchFlagGuard guard(true);
-    batched = f.search_points(pts);
-    const ChunkGrainGuard grain(7);
-    EXPECT_EQ(f.search_points(pts), scalar) << R::name << " grain=7";
-  }
-  EXPECT_EQ(batched, scalar) << R::name;
+  const std::vector<gidx_t> reference = oracle::search_points(f, pts);
+  test::for_each_kernel_and_grain(7, [&] {
+    EXPECT_EQ(f.search_points(pts), reference) << R::name;
+  });
   // The resolved leaf must actually contain its point (half-open boxes).
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    const auto [t, li] = f.locate(scalar[i]);
+    const auto [t, li] = f.locate(reference[i]);
     ASSERT_EQ(t, pts[i].tree);
     const CanonicalQuadrant c = to_canonical<R>(f.tree_quadrants(t)[li]);
     const std::int64_t h = std::int64_t{1}
@@ -270,13 +250,9 @@ TEST(ReadPaths, SearchPointsMultiTree) {
   const auto f = make_refined<S2>(Connectivity::brick2d(3, 2), 2, 1);
   Xoshiro256 rng(7);
   const auto pts = random_points(rng, 2, f.num_trees(), 400);
-  std::vector<gidx_t> scalar;
-  {
-    const BatchFlagGuard guard(false);
-    scalar = f.search_points(pts);
-  }
-  const BatchFlagGuard guard(true);
-  EXPECT_EQ(f.search_points(pts), scalar);
+  const std::vector<gidx_t> reference = oracle::search_points(f, pts);
+  test::for_each_kernel_and_grain(
+      5, [&] { EXPECT_EQ(f.search_points(pts), reference); });
 }
 
 TEST(ReadPaths, SearchPointsRejectsOutOfDomain) {
