@@ -52,6 +52,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -1916,9 +1917,10 @@ class Forest {
   ///      faces. Keys leaving the domain go to \p boundary(out, source);
   ///      keys staying in the source tree (a periodic wrap included)
   ///      resolve on the spot through its MarkGrid; keys entering another
-  ///      tree are bucketed per chunk, then merged per source tree;
+  ///      tree are bucketed per chunk and target;
   ///   2. the buckets are grouped per target with one pointer pass, and
-  ///      each target sorts its keys and resolves them with merge_sweep.
+  ///      each target concatenates and sorts its keys and resolves them
+  ///      with merge_sweep.
   /// Every resolved key goes to \p hit(out, tree, j, key, payload) with
   /// payload = Payload(source): SweepSource when the action needs to know
   /// the key's origin, NoSource when it does not (its cross-tree keys then
@@ -2031,18 +2033,9 @@ class Forest {
         }
       });
       append_parts(source_out[k], chunk_out);
-      auto& tb = buckets[k];
       for (auto& cbk : chunk_buckets) {
-        for (RemoteBucket<Payload>& bk : cbk) {
-          const auto it = std::find_if(
-              tb.begin(), tb.end(),
-              [&](const RemoteBucket<Payload>& o) { return o.tree == bk.tree; });
-          if (it == tb.end()) {
-            tb.push_back(std::move(bk));
-          } else {
-            it->keys.insert(it->keys.end(), bk.keys.begin(), bk.keys.end());
-          }
-        }
+        buckets[k].insert(buckets[k].end(), std::make_move_iterator(cbk.begin()),
+                          std::make_move_iterator(cbk.end()));
       }
     });
     // One serial pass groups bucket pointers per target, so the
