@@ -218,7 +218,7 @@ class ConcurrencyDetector {
 /// callback contract is process-wide (one shared pool), so one detector
 /// suffices.
 inline ConcurrencyDetector& callback_detector() {
-  static ConcurrencyDetector detector;  // lint-allow(mutable-static): all members are std::atomic
+  static ConcurrencyDetector detector;  // qf-allow(mutable-static): all members are std::atomic
   return detector;
 }
 

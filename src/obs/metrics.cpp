@@ -26,7 +26,7 @@ struct Registry {
 };
 
 Registry& registry() {
-  static Registry r;  // lint-allow(mutable-static): mutex-protected registry; metric cells are atomic
+  static Registry r;  // qf-allow(mutable-static): mutex-protected registry; metric cells are atomic
   return r;
 }
 

@@ -58,7 +58,7 @@ struct TraceRegistry {
 };
 
 TraceRegistry& registry() {
-  static TraceRegistry r;  // lint-allow(mutable-static): mutex-protected registry; chunk fields are atomic
+  static TraceRegistry r;  // qf-allow(mutable-static): mutex-protected registry; chunk fields are atomic
   return r;
 }
 

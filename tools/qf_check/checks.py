@@ -1,9 +1,8 @@
-"""Concurrency contract checks over the engine-agnostic Model.
+"""Concurrency contract checks over the token Model (cpp_model.py).
 
-Each check yields Finding(file, line, check, message). Suppression —
-`// qf-allow(<check>): reason` (the legacy `lint-allow` spelling is
-honored too) on the finding's line — is applied by the caller
-(qf_check.py), so checks stay pure.
+Each check yields Finding(file, line, check, message) and stays pure;
+run_checks() applies the `// qf-allow(<check>): reason` suppressions on
+the finding's line and reports stale ones as `stale-allow`.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ def check_unnamed_raii(model: Model):
 
 
 # ---------------------------------------------------------------------------
-# mutable-static / atomic-ref-bool (AST-engine ports of lint_concurrency)
+# mutable-static
 # ---------------------------------------------------------------------------
 
 # Token-joined declarations carry spaces around `::`; allow both spellings.
@@ -102,12 +101,88 @@ def check_mutable_static(model: Model):
                 "std::atomic / a mutex / thread_local, or make it const")
 
 
-def check_atomic_ref_bool(model: Model):
-    for file, line in model.atomic_ref_bools:
-        yield Finding(
-            file, line, "atomic-ref-bool",
-            "std::atomic_ref<bool> — vector<bool> elements are proxies and "
-            "bool storage invites it; use std::uint8_t storage")
+# ---------------------------------------------------------------------------
+# line-pattern checks over the comment- and string-stripped text
+# ---------------------------------------------------------------------------
+
+_LINE_PATTERNS = {
+    "atomic-ref-bool": (
+        re.compile(r"std::atomic_ref\s*<\s*bool\s*>"),
+        "std::atomic_ref<bool> — vector<bool> elements are proxies and "
+        "bool storage invites it; use std::uint8_t storage"),
+    "volatile-sync": (
+        re.compile(r"\bvolatile\s+(?:std::)?"
+                   r"(?:bool|int|unsigned|long|size_t|u?int\d+_t)\b"),
+        "volatile integral used where synchronization is needed; "
+        "use std::atomic"),
+    "detached-thread": (
+        re.compile(r"\.\s*detach\s*\(\s*\)"),
+        "detached thread in library code — join it (or hand it to the "
+        "pool / rank runtime) so shutdown stays deterministic"),
+    "system-clock": (
+        re.compile(r"std::chrono::system_clock\b"),
+        "std::chrono::system_clock — the wall clock is not monotonic; use "
+        "std::chrono::steady_clock for durations and timestamps"),
+}
+
+
+def _line_check(name):
+    pattern, message = _LINE_PATTERNS[name]
+
+    def check(model: Model):
+        for file, lines in model.code.items():
+            for lineno, code in enumerate(lines, start=1):
+                if pattern.search(code):
+                    yield Finding(file, lineno, name, message)
+    return check
+
+
+_SLEEP_RE = re.compile(r"\bsleep_(?:for|until)\s*\(")
+_LOOP_HEAD_RE = re.compile(r"\b(?:for|while)\s*\(|\bdo\s*(?:\{|$)")
+_DO_WHILE_TAIL_RE = re.compile(r"^\s*\}\s*while\s*\(")
+
+
+def check_sleep_poll(model: Model):
+    """sleep_for / sleep_until inside a loop body or on a loop head.
+
+    Approximate loop tracking: brace depth plus the depths at which loop
+    bodies opened. A `for`/`while`/`do` head arms `pending`; the next `{`
+    (from the head onward, so an earlier `if (…) {` on the same line is
+    not misattributed) turns it into a loop scope, and a braceless
+    single-statement body disarms it at the first statement-ending line
+    after the head. A do-while's `} while (…);` tail is not a head."""
+    for file, lines in model.code.items():
+        depth = 0
+        loop_depths = []
+        pending = False
+        pending_line = 0
+        for lineno, code in enumerate(lines, start=1):
+            m_loop = (None if _DO_WHILE_TAIL_RE.match(code)
+                      else _LOOP_HEAD_RE.search(code))
+            if _SLEEP_RE.search(code) and (loop_depths or pending or m_loop):
+                yield Finding(
+                    file, lineno, "sleep-poll",
+                    "sleep inside a loop — a sleep-poll retry loop; wait on "
+                    "a condition variable (Mailbox::pop_blocking) or a task "
+                    "future instead")
+            loop_pos = m_loop.start() if m_loop else None
+            for i, ch in enumerate(code):
+                if loop_pos is not None and i >= loop_pos:
+                    pending, pending_line, loop_pos = True, lineno, None
+                if ch == "{":
+                    depth += 1
+                    if pending:
+                        loop_depths.append(depth)
+                        pending = False
+                elif ch == "}":
+                    if loop_depths and loop_depths[-1] == depth:
+                        loop_depths.pop()
+                    depth = max(0, depth - 1)
+            if loop_pos is not None:    # head after the last brace
+                pending, pending_line = True, lineno
+            if (pending and lineno > pending_line
+                    and ";" in code and "{" not in code):
+                pending = False         # braceless body ended
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +278,7 @@ def _callees_by_name(model: Model):
 
 def _may_block_names(model: Model):
     """Transitive closure: function names that can reach a blocking
-    primitive. Resolution is by unqualified name (both engines), which is
+    primitive. Resolution is by unqualified name, which is
     conservative in the right direction for a checker."""
     by_name = _callees_by_name(model)
     may_block = set(BLOCKING_PRIMITIVES)
@@ -363,21 +438,54 @@ ALL_CHECKS = {
     "mo-comment": check_mo_comment,
     "unnamed-raii": check_unnamed_raii,
     "mutable-static": check_mutable_static,
-    "atomic-ref-bool": check_atomic_ref_bool,
+    **{name: _line_check(name) for name in _LINE_PATTERNS},
+    "sleep-poll": check_sleep_poll,
     "guarded-by": check_guarded_by,
     "blocking-while-locked": check_blocking_while_locked,
     "lock-order": check_lock_order,
 }
 
+# stale-allow judges the suppressions themselves (see run_checks).
+CHECK_NAMES = sorted([*ALL_CHECKS, "stale-allow"])
+
 # Suppression comments may name either the check or the finding label
 # (mutable-static also emits plain-bool-flag findings).
-CHECK_OF_LABEL = {
-    "mo-comment": "mo-comment",
-    "unnamed-raii": "unnamed-raii",
-    "mutable-static": "mutable-static",
-    "plain-bool-flag": "mutable-static",
-    "atomic-ref-bool": "atomic-ref-bool",
-    "guarded-by": "guarded-by",
-    "blocking-while-locked": "blocking-while-locked",
-    "lock-order-cycle": "lock-order",
-}
+CHECK_OF_LABEL = {**{name: name for name in CHECK_NAMES},
+                  "plain-bool-flag": "mutable-static",
+                  "lock-order-cycle": "lock-order"}
+
+
+def run_checks(model: Model, selected):
+    """Run the selected checks and apply the suppressions.
+
+    Returns (findings, [(suppressed finding, reason)]). With stale-allow
+    selected, a suppression is itself a finding when it names no known
+    check, or names a selected check and silences nothing on its line;
+    suppressions of checks that did not run are not judged."""
+    findings = []
+    suppressed = []
+    used = set()
+    for name in selected:
+        if name == "stale-allow":
+            continue
+        for f in ALL_CHECKS[name](model):
+            sup = model.suppressions.get((f.file, f.line))
+            if sup and CHECK_OF_LABEL.get(sup[0]) == name:
+                suppressed.append((f, sup[1]))
+                used.add((f.file, f.line))
+            else:
+                findings.append(f)
+    if "stale-allow" in selected:
+        for (file, line), (label, _) in model.suppressions.items():
+            check = CHECK_OF_LABEL.get(label)
+            if check is None:
+                findings.append(Finding(
+                    file, line, "stale-allow",
+                    f"qf-allow({label}) names no known check; known: "
+                    f"{', '.join(sorted(CHECK_OF_LABEL))}"))
+            elif check in selected and (file, line) not in used:
+                findings.append(Finding(
+                    file, line, "stale-allow",
+                    f"qf-allow({label}) suppresses nothing on this line — "
+                    "the finding is gone; delete the comment"))
+    return findings, suppressed

@@ -1,18 +1,14 @@
 """Token-level C++ model extraction for qf_check (stdlib only).
 
-This is the *fallback* engine: a hand-rolled lexer plus a brace-tracking
-scanner that recovers just enough structure for the concurrency contract
-checks — function bodies with their ordered lock/call/member-access
-events, class members annotated QF_GUARDED_BY, QF_REQUIRES clauses,
-memory_order sites, statement-level RAII temporaries and static
-declarations. It deliberately understands a *disciplined* dialect of C++
-(the one this repo writes: qf::Mutex/LockGuard/UniqueLock, scoped locks
-only, no goto) rather than the whole language; the libclang engine
-(clang_engine.py) produces the same Model from a real AST when a
-libclang python binding is importable.
-
-Both engines emit the shared dataclasses below so checks.py is
-engine-agnostic.
+A hand-rolled lexer plus a brace-tracking scanner that recovers just
+enough structure for the concurrency contract checks — function bodies
+with their ordered lock/call/member-access events, class members
+annotated QF_GUARDED_BY, QF_REQUIRES clauses, memory_order sites,
+statement-level RAII temporaries, static declarations and the
+comment- and string-stripped text of every line. It deliberately
+understands a *disciplined* dialect of C++ (the one this repo writes:
+qf::Mutex/LockGuard/UniqueLock, scoped locks only, no goto) rather than
+the whole language.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ import re
 from typing import Optional
 
 # ---------------------------------------------------------------------------
-# Shared model dataclasses (produced by both engines)
+# Model dataclasses
 # ---------------------------------------------------------------------------
 
 
@@ -113,13 +109,13 @@ class Function:
 
 @dataclasses.dataclass
 class Model:
-    files: list = dataclasses.field(default_factory=list)
+    # file -> its lines with comments and string/char literals blanked
+    code: dict = dataclasses.field(default_factory=dict)
     functions: list = dataclasses.field(default_factory=list)
     guarded: list = dataclasses.field(default_factory=list)
     mo_sites: list = dataclasses.field(default_factory=list)
     raii_temps: list = dataclasses.field(default_factory=list)
     statics: list = dataclasses.field(default_factory=list)
-    atomic_ref_bools: list = dataclasses.field(default_factory=list)
     # every (cls, member) seen, guarded or not — used to recognize
     # same-named members of *unguarded* classes (name collisions)
     members: set = dataclasses.field(default_factory=set)
@@ -240,7 +236,7 @@ _KEYWORDS = {
 }
 
 _SUPPRESS_RE = re.compile(
-    r"//\s*(?:qf|lint)-allow\((?P<check>[\w-]+)\):\s*(?P<reason>.+)")
+    r"//\s*qf-allow\((?P<check>[\w-]+)\):\s*(?P<reason>.+)")
 
 _MO_RE = re.compile(r"\bmemory_order_(\w+)")
 
@@ -271,7 +267,6 @@ class TokenEngine:
     def add_file(self, path) -> None:
         path = pathlib.Path(path)
         text = path.read_text(encoding="utf-8", errors="replace")
-        self.model.files.append(str(path))
         code, comments = strip_strings_and_comments(text)
         self._collect_line_facts(str(path), text, code, comments)
         self._scan(str(path), tokenize(code))
@@ -287,6 +282,7 @@ class TokenEngine:
     def _collect_line_facts(self, fname, text, code, comments):
         raw_lines = text.split("\n")
         code_lines = code.split("\n")
+        self.model.code[fname] = code_lines
         comment_by_line = {}
         for line, c in comments:
             comment_by_line.setdefault(line, []).append(c)
@@ -313,8 +309,6 @@ class TokenEngine:
                     file=fname, line=i, order=m.group(1),
                     justified=justified,
                     context=raw_lines[i - 1].strip()))
-            if re.search(r"std::atomic_ref\s*<\s*bool\s*>", cl):
-                self.model.atomic_ref_bools.append((fname, i))
 
     # -- token scan ----------------------------------------------------
 

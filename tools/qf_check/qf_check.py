@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""qf_check — AST/model-based concurrency contract checker for qforest.
+"""qf_check — the concurrency contract checker for qforest.
 
 Checks that Clang Thread Safety annotations cannot express:
 
@@ -14,22 +14,24 @@ Checks that Clang Thread Safety annotations cannot express:
                          transitively reachable while a lock is held
   lock-order             nested-acquisition graph (DOT via
                          --lock-order-dot); any cycle is an error
-  mutable-static         unsynchronized static — AST-engine port of the
-                         lint_concurrency.py rule
-  atomic-ref-bool        std::atomic_ref<bool> — port of the same
+  mutable-static         unsynchronized static (plain-bool-flag for bools)
+  atomic-ref-bool        std::atomic_ref<bool> over proxy/bool storage
+  volatile-sync          volatile integral used as synchronization
+  detached-thread        .detach() — library threads must be joined
+  system-clock           std::chrono::system_clock; use steady_clock
+  sleep-poll             sleep_for / sleep_until inside a loop
+  stale-allow            a qf-allow naming an unknown check, or one that
+                         silences nothing on its line
 
-Engines: `--engine tokens` (stdlib lexer, always available — the ctest
-default), `--engine libclang` (clang.cindex when importable — the CI
-default), `--engine auto` (libclang if importable, else tokens).
-
-Suppress a finding with `// qf-allow(<check>): reason` on its line
-(`lint-allow` is accepted too); suppressions are listed in the summary.
+The model comes from a stdlib-only token engine (cpp_model.py).
+Suppress a finding with `// qf-allow(<check>): reason` on its line;
+suppressions are listed in the summary.
 
 Exit status: 1 when any unsuppressed finding remains, else 0.
 
 Examples:
   tools/qf_check/qf_check.py src
-  tools/qf_check/qf_check.py --engine tokens --mo-inventory mo.json \\
+  tools/qf_check/qf_check.py --mo-inventory mo.json \\
       --lock-order-dot lock_order.dot src
 """
 
@@ -45,13 +47,8 @@ import cpp_model                      # noqa: E402
 
 SOURCE_SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
 
-# The annotation header defines the lock wrappers themselves (lock() on a
-# bare mutex, adopt_lock plumbing) — the one file the discipline checks
-# must not read literally.
-DEFAULT_EXCLUDES = {"thread_annotations.hpp"}
 
-
-def gather_files(paths, excludes):
+def gather_files(paths):
     files = []
     for raw in paths:
         p = pathlib.Path(raw)
@@ -60,24 +57,7 @@ def gather_files(paths, excludes):
                                 if f.suffix in SOURCE_SUFFIXES))
         else:
             files.append(p)
-    return [f for f in files if f.name not in excludes]
-
-
-def build_model(files, engine):
-    if engine in ("auto", "libclang"):
-        try:
-            import clang_engine
-            if clang_engine.available():
-                return clang_engine.build_model(files), "libclang"
-            if engine == "libclang":
-                print("qf_check: libclang engine requested but "
-                      "clang.cindex/libclang is not available",
-                      file=sys.stderr)
-                sys.exit(2)
-        except ImportError:
-            if engine == "libclang":
-                raise
-    return cpp_model.build_model(files), "tokens"
+    return files
 
 
 def main():
@@ -85,46 +65,32 @@ def main():
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("paths", nargs="+", help="directories or files to check")
-    ap.add_argument("--engine", choices=("auto", "tokens", "libclang"),
-                    default="auto")
     ap.add_argument("--checks", default="all",
                     help="comma-separated check names (default: all); "
-                         f"known: {', '.join(sorted(checks_mod.ALL_CHECKS))}")
+                         f"known: {', '.join(checks_mod.CHECK_NAMES)}")
     ap.add_argument("--mo-inventory", metavar="PATH",
                     help="write the memory-order inventory JSON here")
     ap.add_argument("--lock-order-dot", metavar="PATH",
                     help="write the nested-acquisition graph (DOT) here")
-    ap.add_argument("--no-default-excludes", action="store_true",
-                    help="also scan thread_annotations.hpp")
     ap.add_argument("--quiet", action="store_true",
                     help="suppress the per-exemption summary")
     args = ap.parse_args()
 
-    excludes = set() if args.no_default_excludes else set(DEFAULT_EXCLUDES)
-    files = gather_files(args.paths, excludes)
+    files = gather_files(args.paths)
     if not files:
         print("qf_check: no source files found", file=sys.stderr)
         return 2
 
-    model, engine = build_model(files, args.engine)
-
-    selected = (sorted(checks_mod.ALL_CHECKS)
+    selected = (checks_mod.CHECK_NAMES
                 if args.checks == "all" else args.checks.split(","))
-    unknown = [c for c in selected if c not in checks_mod.ALL_CHECKS]
+    unknown = [c for c in selected if c not in checks_mod.CHECK_NAMES]
     if unknown:
         print(f"qf_check: unknown check(s): {', '.join(unknown)}",
               file=sys.stderr)
         return 2
 
-    findings = []
-    suppressed = []
-    for name in selected:
-        for f in checks_mod.ALL_CHECKS[name](model):
-            sup = model.suppressions.get((f.file, f.line))
-            if sup and checks_mod.CHECK_OF_LABEL.get(sup[0]) == name:
-                suppressed.append((f, sup[1]))
-            else:
-                findings.append(f)
+    model = cpp_model.build_model(files)
+    findings, suppressed = checks_mod.run_checks(model, selected)
 
     findings.sort(key=lambda f: (f.file, f.line, f.check))
     for f in findings:
@@ -149,7 +115,7 @@ def main():
               f"({len(nodes)} lock(s), {len(edges)} edge(s), "
               f"{ncyc} cycle(s))")
 
-    print(f"qf_check[{engine}]: {len(files)} file(s), "
+    print(f"qf_check: {len(files)} file(s), "
           f"{len(findings)} finding(s), {len(suppressed)} suppressed")
     return 1 if findings else 0
 

@@ -1,5 +1,5 @@
 // qf_check fixture: mutable-static / plain-bool-flag / atomic-ref-bool —
-// AST-engine ports of the lint_concurrency.py rules.
+// long-lived shared state must be atomic, locked, thread_local or const.
 
 #include <atomic>
 #include <cstdint>

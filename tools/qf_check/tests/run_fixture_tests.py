@@ -24,6 +24,11 @@ import tempfile
 HERE = pathlib.Path(__file__).resolve().parent
 QF_CHECK = HERE.parent / "qf_check.py"
 
+# A --checks subset judges only its own checks' suppressions: with
+# stale-allow alone, the one naming an unknown check is all that is left.
+SUBSET_CHECKS = "stale-allow"
+SUBSET_WANT = ["fixture_stale_allow.cpp:13: [stale-allow]"]
+
 _LINE_RE = re.compile(
     r"^(?P<path>[^:]+):(?P<line>\d+): \[(?P<check>[\w-]+)\]"
     r"(?P<sup> suppressed)?")
@@ -31,7 +36,7 @@ _LINE_RE = re.compile(
 
 def run_qf_check(args):
     proc = subprocess.run(
-        [sys.executable, str(QF_CHECK), "--engine", "tokens", *args],
+        [sys.executable, str(QF_CHECK), *args],
         capture_output=True, text=True)
     return proc
 
@@ -69,6 +74,12 @@ def fixture_mode(update):
             print(f"  missing: {line}")
         for line in sorted(set(got) - set(want)):
             print(f"  extra:   {line}")
+        return 1
+    sub = normalized_findings(
+        run_qf_check(["--checks", SUBSET_CHECKS, str(HERE)]).stdout)
+    if sub != SUBSET_WANT:
+        print(f"FAIL: --checks {SUBSET_CHECKS} reported {sub}, "
+              f"want {SUBSET_WANT}")
         return 1
     print(f"OK: {len(got)} expected finding(s)/suppression(s) matched")
     return 0
