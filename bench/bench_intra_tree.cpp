@@ -16,6 +16,8 @@
 /// check is advisory, as time-sliced workers cannot speed anything up).
 /// Results land on stdout and in BENCH_intra_tree.json.
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -50,9 +52,12 @@ const char* name_of(Scheduler s) {
   }
 }
 
-void select(Scheduler s) {
+/// The per-tree scheduler is the chunked one at a grain no tree reaches
+/// (every tree's passes then run as one inline chunk); the others run at
+/// \p grain.
+void select(Scheduler s, std::size_t grain) {
   set_tree_parallelism(s != Scheduler::kSerial);
-  set_intra_tree_parallelism(s == Scheduler::kChunked);
+  set_chunk_grain(s == Scheduler::kPerTree ? SIZE_MAX : grain);
 }
 
 Connectivity make_conn(bool single) {
@@ -161,6 +166,7 @@ int main() {
   BenchJson json;
   bool mesh_ok = true;
   double single_refine_speedup = 0;
+  const std::size_t grain = chunk_grain();
 
   for (const bool single : {true, false}) {
     Forest<R> meshes[3] = {Forest<R>::new_root(make_conn(single)),
@@ -170,11 +176,11 @@ int main() {
     const Scheduler order[3] = {Scheduler::kSerial, Scheduler::kPerTree,
                                 Scheduler::kChunked};
     for (int s = 0; s < 3; ++s) {
-      select(order[s]);
+      select(order[s], grain);
       times[s] =
           run_workflow(single, base_level, max_depth, sweeps, &meshes[s]);
     }
-    select(Scheduler::kChunked);  // restore the default scheduler
+    select(Scheduler::kChunked, grain);  // restore the default scheduler
 
     for (int s = 1; s < 3; ++s) {
       if (!same_mesh(meshes[0], meshes[s])) {

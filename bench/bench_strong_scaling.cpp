@@ -15,14 +15,15 @@
 /// supposed to hide — in-process delivery is otherwise instantaneous.
 ///
 /// Reported per p: wall time with overlap, wall time under the
-/// QFOREST_NO_OVERLAP order (post, wait, then compute), speedup and
-/// scaling efficiency against the single-rank serial reference, the
-/// overlap-vs-no-overlap boost and per-rank worker times. Every round's
-/// exchanged payloads are compared against the shared-memory
-/// Forest::ghost_exchange reference; the binary exits nonzero on any
-/// mismatch. With QFOREST_SS_ENFORCE=1 (default) on a host with >= 4
-/// cores and a mesh >= 1M leaves, the run fails unless efficiency at 16
-/// ranks reaches 60% and some rank count shows an overlap boost.
+/// GhostExchangeOptions::overlap = false order (post, wait, then
+/// compute), speedup and scaling efficiency against the single-rank
+/// serial reference, the overlap-vs-no-overlap boost and per-rank worker
+/// times. Every round's exchanged payloads are compared against the
+/// shared-memory Forest::ghost_exchange reference; the binary exits
+/// nonzero on any mismatch. With QFOREST_SS_ENFORCE=1 (default) on a host
+/// with >= 4 cores and a mesh >= 1M leaves, the run fails unless
+/// efficiency at 16 ranks reaches 60% and some rank count shows an
+/// overlap boost.
 /// Results land on stdout and in BENCH_strong_scaling.json.
 ///
 /// Env knobs: QFOREST_SS_DEPTH (refine depth, default 8 -> ~2.2M leaves),

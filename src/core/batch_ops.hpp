@@ -73,9 +73,10 @@ inline void set_enabled(bool on) {
 /// Number of blocks when [0, n) is cut into chunks of exactly \p grain
 /// elements (the last block may be shorter). Shared by the forest's
 /// intra-tree chunk scheduling and its serial fallback so both sides
-/// agree on chunk ids and boundaries.
+/// agree on chunk ids and boundaries. Written without n + grain - 1,
+/// which wraps for a huge grain (SIZE_MAX must give one chunk).
 inline std::size_t chunk_count(std::size_t n, std::size_t grain) {
-  return grain == 0 ? (n != 0) : (n + grain - 1) / grain;
+  return grain == 0 ? (n != 0) : n / grain + (n % grain != 0);
 }
 
 }  // namespace batch

@@ -244,7 +244,7 @@ class ChunkCoverage {
   ChunkCoverage(std::size_t n, std::size_t grain)
       : n_(n),
         grain_(grain == 0 ? 1 : grain),
-        claimed_((n_ + grain_ - 1) / grain_) {}
+        claimed_(n_ / grain_ + (n_ % grain_ != 0)) {}
 
   void claim(std::size_t begin, std::size_t end) {
     const bool aligned = begin % grain_ == 0;

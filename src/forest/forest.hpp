@@ -26,6 +26,12 @@
 /// the per-quadrant reference algorithms the tests compare against live in
 /// tests/forest_oracle.hpp.
 ///
+/// Derived indexes: besides the leaf arrays the forest owns the tree
+/// offsets and one Morton-cell index per tree (MarkGrid). Every operation
+/// that changes leaves ends in reindex(), which rebuilds both; the const
+/// read paths only borrow them, so a mesh that is read many times between
+/// changes is indexed once.
+///
 /// Scheduling is two-level: the per-tree outer loops of the adaptation
 /// algorithms run on the shared forest thread pool (level 1), and within
 /// each tree the hot passes — refine mark waves, the coarsen family
@@ -37,12 +43,12 @@
 /// different trees and for different leaf chunks of the same tree.
 /// Callbacks that mutate shared state can opt out via
 /// set_tree_parallelism(false) or the QFOREST_SERIAL_TREES environment
-/// variable (disables BOTH levels); set_intra_tree_parallelism(false)
-/// disables only the chunk level. Reentrant forest operations from inside
-/// a chunk-level callback always run fully inline (chunk workers never
-/// nest); reentrant operations from a tree-level callback run their tree
-/// loop inline but may still chunk it — the pool's helping wait makes
-/// nested dispatch deadlock-free.
+/// variable (disables BOTH levels); set_chunk_grain(SIZE_MAX) keeps trees
+/// concurrent but runs each tree's passes as one chunk. Reentrant forest
+/// operations from inside a chunk-level callback always run fully inline
+/// (chunk workers never nest); reentrant operations from a tree-level
+/// callback run their tree loop inline but may still chunk it — the
+/// pool's helping wait makes nested dispatch deadlock-free.
 
 #include <algorithm>
 #include <array>
@@ -123,19 +129,12 @@ class DepthScope {
   int saved_;
 };
 
-/// Atomic with relaxed ordering: the switches may be flipped while a
-/// parallel region runs (benches toggle them between timed phases);
+/// Atomic with relaxed ordering: the switch may be flipped while a
+/// parallel region runs (benches toggle it between timed phases);
 /// workers only need *a* consistent value per load.
 inline std::atomic<bool>& tree_parallel_flag() {
   static std::atomic<bool> flag{
       std::getenv("QFOREST_SERIAL_TREES") ==  // NOLINT(concurrency-mt-unsafe)
-      nullptr};
-  return flag;
-}
-
-inline std::atomic<bool>& intra_tree_flag() {
-  static std::atomic<bool> flag{
-      std::getenv("QFOREST_SERIAL_CHUNKS") ==  // NOLINT(concurrency-mt-unsafe)
       nullptr};
   return flag;
 }
@@ -229,23 +228,11 @@ inline bool tree_parallelism() {
   return detail::tree_parallel_flag().load(std::memory_order_relaxed);
 }
 
-/// Switch for the intra-tree (chunk-level) parallelism only: when off,
-/// trees still run concurrently but each tree's passes stay on one
-/// thread — the pre-chunking scheduler, kept selectable for callbacks
-/// that tolerate tree-level but not chunk-level concurrency and for the
-/// bench_intra_tree ablation. Also off via QFOREST_SERIAL_CHUNKS.
-inline void set_intra_tree_parallelism(bool on) {
-  // mo: relaxed — independent on/off switch; readers only branch on it.
-  detail::intra_tree_flag().store(on, std::memory_order_relaxed);
-}
-inline bool intra_tree_parallelism() {
-  // mo: relaxed — independent on/off switch; readers only branch on it.
-  return detail::intra_tree_flag().load(std::memory_order_relaxed);
-}
-
 /// Leaves per intra-tree chunk task (0 restores the default). Tests force
 /// tiny grains to exercise chunk-boundary handling; QFOREST_CHUNK_GRAIN
-/// sets the initial value.
+/// sets the initial value. A grain no tree reaches (SIZE_MAX) turns the
+/// chunk level off: trees still run concurrently, but each tree's passes
+/// run as one inline chunk.
 inline void set_chunk_grain(std::size_t grain) {
   // mo: relaxed — scheduling hint; any grain value is correct.
   detail::chunk_grain_value().store(
@@ -350,7 +337,7 @@ class Forest {
         f.trees_[t] = front;
       }
     }
-    f.rebuild_offsets();
+    f.reindex();
     f.partition();
     return f;
   }
@@ -485,15 +472,15 @@ class Forest {
   /// each chunk's leaves are staged into level-uniform spans and all
   /// candidate neighbor keys are produced in bulk through
   /// BatchOps<R>::neighbor_at_offset_n. Keys staying inside their source
-  /// tree (the vast majority) resolve against a per-tree Morton-cell index
-  /// (MarkGrid) with a range-local search of a handful of leaves; keys
-  /// crossing a tree face are bucketed by target tree and resolved there
-  /// with one sort + sorted-merge sweep over the target's leaf array. The
-  /// sweep and the split apply run per tree on the forest pool AND in
-  /// leaf-span chunks within each tree (split-bitmap marks use relaxed
-  /// atomic stores, everything else stays chunk- or tree-local).
-  /// MarkGrids persist across fixpoint iterations and are rebuilt only for
-  /// trees whose leaves changed in the previous apply.
+  /// tree (the vast majority) resolve against the forest's per-tree
+  /// Morton-cell index (MarkGrid) with a range-local search of a handful
+  /// of leaves; keys crossing a tree face are bucketed by target tree and
+  /// resolved there with one sort + sorted-merge sweep over the target's
+  /// leaf array. The sweep and the split apply run per tree on the forest
+  /// pool AND in leaf-span chunks within each tree (split-bitmap marks use
+  /// relaxed atomic stores, everything else stays chunk- or tree-local).
+  /// After each apply, reindex rebuilds the offsets and the grids of the
+  /// trees that were split; the other trees keep theirs.
   ///
   /// An already-balanced forest is a no-op: no split, no leaf-array
   /// rebuild, no repartition.
@@ -503,17 +490,15 @@ class Forest {
     std::int64_t iterations = 0;
     bool any_changed = false;
     bool changed = true;
-    // Split bitmaps, grids and the dirty list are hoisted out of the
-    // fixpoint loop so later iterations reuse the heap buffers (and the
-    // grids of unchanged trees) instead of rebuilding them.
+    // Split bitmaps and the dirty list are hoisted out of the fixpoint
+    // loop so later iterations reuse their heap buffers.
     std::vector<std::vector<std::uint8_t>> split(trees_.size());
     std::vector<std::size_t> dirty;
-    std::vector<MarkGrid> grids(trees_.size());
     adapt_guard([&] {
       while (changed) {
         c_iterations.add(1);
         ++iterations;
-        mark_splits(kind, split, grids);
+        mark_splits(kind, split);
         dirty.clear();
         for (std::size_t t = 0; t < trees_.size(); ++t) {
           if (std::find(split[t].begin(), split[t].end(), 1) !=
@@ -528,11 +513,8 @@ class Forest {
           apply_splits(trees_[t],
                        payload_enabled_ ? &payloads_[t] : nullptr, split[t]);
         });
-        for (const std::size_t t : dirty) {
-          grids[t].valid = false;  // leaves changed: the grid ranges are stale
-        }
         if (changed) {
-          rebuild_offsets();  // the next mark sweep addresses global indices
+          reindex(&dirty);  // the next mark sweep reads offsets and grids
         }
       }
     }, any_changed);
@@ -547,8 +529,7 @@ class Forest {
   /// mark pass, which marks nothing exactly when the forest is balanced.
   [[nodiscard]] bool is_balanced(BalanceKind kind = BalanceKind::kFull) const {
     std::vector<std::vector<std::uint8_t>> split(trees_.size());
-    std::vector<MarkGrid> grids(trees_.size());
-    mark_splits(kind, split, grids);
+    mark_splits(kind, split);
     return std::none_of(split.begin(), split.end(), [](const auto& marks) {
       return std::find(marks.begin(), marks.end(), 1) != marks.end();
     });
@@ -616,10 +597,10 @@ class Forest {
   /// the balance mark phase: the rank's leaves are staged into
   /// level-uniform spans per leaf chunk, every neighbor key is produced in
   /// bulk through BatchOps<R>::neighbor_at_offset_n, keys staying in their
-  /// source tree resolve against a per-tree Morton-cell grid (MarkGrid)
-  /// and keys crossing a tree face are bucketed per target tree and
-  /// resolved with one sort + sorted-merge sweep. Trees and leaf chunks
-  /// run in parallel on the forest pool.
+  /// source tree resolve against the forest's per-tree Morton-cell grid
+  /// (MarkGrid) and keys crossing a tree face are bucketed per target tree
+  /// and resolved with one sort + sorted-merge sweep. Trees and leaf
+  /// chunks run in parallel on the forest pool.
   [[nodiscard]] GhostLayer<R> ghost_layer(int rank) const {
     GhostLayer<R> ghost;
     const auto [first, last] = rank_range(rank);
@@ -790,8 +771,7 @@ class Forest {
   /// target tree and resolved with one sort + sorted-merge sweep. The
   /// emission ORDER is therefore unspecified, and \p cb is invoked
   /// concurrently — it must be thread-safe, with the same opt-outs as the
-  /// adaptation callbacks (set_tree_parallelism /
-  /// set_intra_tree_parallelism).
+  /// adaptation callbacks (set_tree_parallelism / set_chunk_grain).
   template <class Fn>
   void iterate_faces(Fn&& cb) const {
     obs::TraceSpan span("forest", "iterate_faces");
@@ -805,9 +785,8 @@ class Forest {
       info.face[0] = from.offset;
       return info;
     };
-    std::vector<MarkGrid> grids(trees_.size());
     (void)neighbor_sweep<SweepSource>(
-        0, num_quadrants(), face_offsets(), 0, grids,
+        0, num_quadrants(), face_offsets(), 0,
         [&](std::vector<gidx_t>&, std::size_t ti, std::ptrdiff_t j,
             const quad_t& key, const SweepSource& from) {
           if (j < 0) {
@@ -876,7 +855,7 @@ class Forest {
 
   /// Replace the entire leaf storage (used by deserialization and by
   /// tests constructing meshes directly). The caller provides one sorted
-  /// leaf vector per tree; offsets and the partition are rebuilt. Call
+  /// leaf vector per tree; the indexes and the partition are rebuilt. Call
   /// is_valid() afterwards to verify structural soundness.
   void replace_leaves(std::vector<std::vector<quad_t>> trees) {
     if (trees.size() != trees_.size()) {
@@ -889,7 +868,7 @@ class Forest {
         payloads_[t].assign(trees_[t].size(), 0);
       }
     }
-    rebuild_offsets();
+    reindex();
     partition();
   }
 
@@ -975,7 +954,7 @@ class Forest {
       : conn_(std::move(conn)),
         comm_(num_ranks),
         trees_(static_cast<std::size_t>(conn_.num_trees())) {
-    rebuild_offsets();
+    reindex();
     partition();
   }
 
@@ -1029,8 +1008,7 @@ class Forest {
     }
     grain = std::max<std::size_t>(grain, 1);
     const std::size_t chunks = batch::chunk_count(n, grain);
-    if (chunks == 1 || !tree_parallelism() || !intra_tree_parallelism() ||
-        detail::worker_depth() >= 2) {
+    if (chunks == 1 || !tree_parallelism() || detail::worker_depth() >= 2) {
       for (std::size_t c = 0; c < chunks; ++c) {
         const std::size_t b = c * grain;
         fn(c, b, std::min(n, b + grain));
@@ -1057,24 +1035,24 @@ class Forest {
     parallel_over(trees_.size(), fn);
   }
 
-  /// Shared exception-consistency wrapper of refine / coarsen / balance:
-  /// when the tree loop throws (a callback raised, or allocation failed),
-  /// some trees may already have been adapted — rebuild the offsets and
-  /// the partition before rethrowing so the forest stays structurally
+  /// Shared exception-consistency wrapper of refine / coarsen: when the
+  /// tree loop throws (a callback raised, or allocation failed), some
+  /// trees may already have been adapted — rebuild the indexes and the
+  /// partition before rethrowing so the forest stays structurally
   /// consistent (is_valid() holds; the adaptation is simply partial).
   template <class Fn>
   void adapt_and_rebuild(Fn&& body) {
     try {
       body();
     } catch (...) {
-      rebuild_offsets();
+      reindex();
       partition();
       QFOREST_DBG_STRUCTURAL(is_valid(),
                              "forest structurally inconsistent after a "
                              "throwing adaptation callback");
       throw;
     }
-    rebuild_offsets();
+    reindex();
     partition();
   }
 
@@ -1087,7 +1065,7 @@ class Forest {
       body();
     } catch (...) {
       if (modified) {
-        rebuild_offsets();
+        reindex();
         partition();
       }
       QFOREST_DBG_STRUCTURAL(is_valid(),
@@ -1310,9 +1288,9 @@ class Forest {
   /// level-uniform batches through BatchOps<R>. \p fresh is replaced by
   /// the ascending output indices of the new children.
   ///
-  /// Small tails take a single serial backward shift. Large tails (>= 2
-  /// chunk grains past the first split) run chunk-parallel instead: the
-  /// moving tail is copied to a scratch buffer, then every chunk
+  /// Small tails take a single serial backward shift. Large tails (two or
+  /// more chunk grains past the first split) run chunk-parallel instead:
+  /// the moving tail is copied to a scratch buffer, then every chunk
   /// scatters its leaves to their final slots independently — old index
   /// i lands at i + S(i)*(2^d - 1), where S(i) (the number of split
   /// positions below i, one lower_bound per chunk) is the slots the
@@ -1374,8 +1352,7 @@ class Forest {
     h_moved.record(tail);
 
     const std::size_t grain = chunk_grain();
-    const bool parallel = tail >= 2 * grain && tree_parallelism() &&
-                          intra_tree_parallelism() &&
+    const bool parallel = tail / 2 >= grain && tree_parallelism() &&
                           detail::worker_depth() < 2;
     if (!parallel) {
       c_serial.add(1);
@@ -1659,12 +1636,21 @@ class Forest {
     return true;
   }
 
-  void rebuild_offsets() {
+  /// Rebuild the indexes derived from the leaf arrays: the tree offsets
+  /// and the MarkGrid of every tree in \p changed (every tree when null).
+  /// Every operation that changes leaves ends here, on its exception path
+  /// too, so the const read paths borrow both without a check.
+  void reindex(const std::vector<std::size_t>* changed = nullptr) {
     tree_offsets_.assign(trees_.size() + 1, 0);
     for (std::size_t t = 0; t < trees_.size(); ++t) {
       tree_offsets_[t + 1] =
           tree_offsets_[t] + static_cast<gidx_t>(trees_[t].size());
     }
+    grids_.resize(trees_.size());
+    parallel_over(changed ? changed->size() : trees_.size(),
+                  [&](std::size_t k) {
+                    build_mark_grid(changed ? (*changed)[k] : k);
+                  });
   }
 
   /// Whether \p leaf is \p key or one of its ancestors.
@@ -1732,29 +1718,32 @@ class Forest {
     return out;
   }
 
-  /// Coarse Morton-cell index over one tree's leaf array: cell c of the
-  /// uniform level-`level` grid maps to the contiguous leaf index range
-  /// [begin[c], end[c]) of leaves intersecting it (contiguous because the
-  /// leaves are sorted along the curve and grid cells are aligned
-  /// blocks). A key lookup then touches only the few leaves of one cell
-  /// instead of binary-searching the whole tree.
+  /// Coarse Morton-cell index over one tree's leaf array. The leaves
+  /// meeting cell c of the uniform level-`level` grid form a contiguous
+  /// index range (the leaves are sorted along the curve and grid cells
+  /// are aligned blocks) that starts at begin[c]; begin has one extra
+  /// entry, begin[cells] = n. A leaf meeting two cells is coarser than the
+  /// grid and so the only leaf in each of them, hence the range of cell c
+  /// ends at max(begin[c + 1], begin[c] + 1). A key lookup then touches
+  /// only the few leaves of one cell instead of binary-searching the whole
+  /// tree.
   struct MarkGrid {
-    bool valid = false;  ///< built, and the tree's leaves unchanged since
     int level = 0;
     std::vector<std::size_t> begin;
-    std::vector<std::size_t> end;
   };
 
   /// Build tree \p ti's MarkGrid. The grid level is chosen so cells hold
   /// ~2+ leaves on average (a finer grid would cost more to build than it
   /// saves); a leaf coarser than the grid covers an aligned block of
-  /// cells that is contiguous in cell-Morton order. The cell fill runs
-  /// chunk-parallel over the leaf array: chunks mostly write disjoint
-  /// cell ranges (the leaves are curve-sorted) but can meet on boundary
-  /// cells and coarse-leaf blocks, so the min/max folds are relaxed CAS
-  /// loops — every worker folds toward the same fixpoint, so the result
-  /// is order-independent.
-  void build_mark_grid(std::size_t ti, MarkGrid& g) const {
+  /// cells that is contiguous in cell-Morton order. The fill runs
+  /// chunk-parallel with plain stores: a leaf writes only the cells of its
+  /// block past the last cell of the leaves before it, so in a sorted tree
+  /// every cell is written once, by the first leaf meeting it. Each chunk
+  /// writes only between its start cell and the next chunk's (a running
+  /// maximum, so even the unsorted leaves replace_leaves accepts before
+  /// is_valid() rejects them get disjoint, in-bounds stores; invalid
+  /// leaves write nothing).
+  void build_mark_grid(std::size_t ti) {
     static obs::Counter& c_builds = obs::counter("forest.markgrid.builds");
     c_builds.add(1);
     const auto& tree = trees_[ti];
@@ -1764,48 +1753,43 @@ class Forest {
            (std::size_t{1} << (dim * (lvl + 1))) * 2 <= n) {
       ++lvl;
     }
+    MarkGrid& g = grids_[ti];
     g.level = lvl;
     const std::size_t cells = std::size_t{1} << (dim * lvl);
-    g.begin.assign(cells, n);
-    g.end.assign(cells, 0);
+    g.begin.assign(cells + 1, n);
+    // Cells [first, last) met by leaf i.
     const int shift = kCanonicalLevel - lvl;
-    parallel_chunks(n, chunk_grain(),
-                    [&](std::size_t, std::size_t b, std::size_t e) {
+    const auto cells_of = [&](std::size_t i) -> std::pair<std::size_t,
+                                                          std::size_t> {
+      if (!R::is_valid(tree[i]) || !R::inside_root(tree[i])) {
+        return {0, 0};
+      }
+      const CanonicalQuadrant c = to_canonical<R>(tree[i]);
+      const std::uint64_t c0 =
+          cell_morton(c.x >> shift, c.y >> shift, c.z >> shift);
+      return {c0, c0 + (c.level < lvl ? std::uint64_t{1}
+                                            << (dim * (lvl - c.level))
+                                      : 1)};
+    };
+    const std::size_t grain = chunk_grain();
+    const std::size_t nchunks = batch::chunk_count(n, grain);
+    std::vector<std::size_t> start(nchunks + 1, cells);
+    start[0] = 0;
+    for (std::size_t c = 1; c < nchunks; ++c) {
+      start[c] = std::max(start[c - 1], cells_of(c * grain - 1).second);
+    }
+    parallel_chunks(n, grain,
+                    [&](std::size_t c, std::size_t b, std::size_t e) {
+      std::size_t next = start[c];
       for (std::size_t i = b; i < e; ++i) {
-        const CanonicalQuadrant c = to_canonical<R>(tree[i]);
-        const std::uint64_t c0 =
-            cell_morton(c.x >> shift, c.y >> shift, c.z >> shift);
-        std::uint64_t c1 = c0;
-        if (c.level < lvl) {
-          c1 = c0 + (std::uint64_t{1} << (dim * (lvl - c.level))) - 1;
+        const auto [c0, c1] = cells_of(i);
+        for (std::size_t cc = std::max(c0, next);
+             cc < std::min(c1, start[c + 1]); ++cc) {
+          g.begin[cc] = i;
         }
-        for (std::uint64_t cc = c0; cc <= c1; ++cc) {
-          atomic_fold_min(g.begin[cc], i);
-          atomic_fold_max(g.end[cc], i + 1);
-        }
+        next = std::max(next, c1);
       }
     });
-    g.valid = true;
-  }
-
-  static void atomic_fold_min(std::size_t& slot, std::size_t v) {
-    const std::atomic_ref<std::size_t> a(slot);
-    // mo: relaxed — commutative min fold; the grid is read only after
-    // the building parallel region joins.
-    std::size_t cur = a.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
-  static void atomic_fold_max(std::size_t& slot, std::size_t v) {
-    const std::atomic_ref<std::size_t> a(slot);
-    // mo: relaxed — commutative max fold; the grid is read only after
-    // the building parallel region joins.
-    std::size_t cur = a.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
   }
 
   static std::uint64_t cell_morton(std::int64_t cx, std::int64_t cy,
@@ -1827,15 +1811,18 @@ class Forest {
   /// region is covered by finer leaves, the first of them — intersects
   /// the grid cell holding the key's lower corner, so the upper_bound
   /// local to that cell's leaf range lands where the whole-tree one does.
-  [[nodiscard]] std::ptrdiff_t grid_cursor(std::size_t ti, const MarkGrid& g,
+  [[nodiscard]] std::ptrdiff_t grid_cursor(std::size_t ti,
                                            const CanonicalQuadrant& nc,
                                            const quad_t& key) const {
     const auto& tree = trees_[ti];
+    const MarkGrid& g = grids_[ti];
     const int shift = kCanonicalLevel - g.level;
     const std::uint64_t cell =
         cell_morton(nc.x >> shift, nc.y >> shift, nc.z >> shift);
     const std::size_t lo = g.begin[cell];
-    const std::size_t hi = std::max(lo, g.end[cell]);  // empty: defensive
+    // lo == n only in a tree that is_valid() rejects: the range is empty.
+    const std::size_t hi =
+        std::min(std::max(g.begin[cell + 1], lo + 1), tree.size());
     return std::upper_bound(tree.begin() + static_cast<std::ptrdiff_t>(lo),
                             tree.begin() + static_cast<std::ptrdiff_t>(hi),
                             key, RepLess<R>{}) -
@@ -1926,13 +1913,12 @@ class Forest {
   /// the key's origin, NoSource when it does not (its cross-tree keys then
   /// stay quadrant-sized). Actions run concurrently; \p out is a private
   /// sink per chunk, and the global indices pushed there are returned
-  /// concatenated, unsorted. \p grids holds one grid per tree; the sweep
-  /// builds those of the scanned trees that are not valid.
+  /// concatenated, unsorted. The sweep only reads the forest's indexes
+  /// (tree offsets and MarkGrids), which reindex keeps current.
   template <class Payload, class Hit, class Boundary>
   std::vector<gidx_t> neighbor_sweep(
       gidx_t first, gidx_t last, const std::vector<std::array<int, 3>>& offsets,
-      int min_level, std::vector<MarkGrid>& grids, Hit&& hit,
-      Boundary&& boundary) const {
+      int min_level, Hit&& hit, Boundary&& boundary) const {
     std::vector<gidx_t> out;
     if (first >= last) {
       return out;
@@ -1941,11 +1927,6 @@ class Forest {
     const std::pair<tree_id_t, std::size_t> hi = locate(last - 1);
     const auto t0 = static_cast<std::size_t>(lo.first);
     const std::size_t nscan = static_cast<std::size_t>(hi.first - lo.first) + 1;
-    parallel_over(nscan, [&](std::size_t k) {
-      if (!grids[t0 + k].valid) {
-        build_mark_grid(t0 + k, grids[t0 + k]);
-      }
-    });
     const std::size_t grain = chunk_grain();
     static obs::Counter& c_local = obs::counter("forest.scan.local_keys");
     static obs::Counter& c_merge = obs::counter("forest.scan.merge_keys");
@@ -1955,7 +1936,6 @@ class Forest {
       const std::size_t ti = t0 + k;
       const auto t = static_cast<tree_id_t>(ti);
       const auto& tree = trees_[ti];
-      const MarkGrid& grid = grids[ti];
       const std::size_t a = k == 0 ? lo.second : 0;
       const std::size_t b = k + 1 == nscan ? hi.second + 1 : tree.size();
       const std::size_t nchunks = batch::chunk_count(b - a, grain);
@@ -2015,7 +1995,7 @@ class Forest {
               const quad_t key = from_canonical<R>(nc);
               if (target == t) {
                 ++local_keys;
-                hit(mine, ti, grid_cursor(ti, grid, nc, key), key,
+                hit(mine, ti, grid_cursor(ti, nc, key), key,
                     Payload(from));
               } else {
                 ++merge_keys;
@@ -2089,13 +2069,12 @@ class Forest {
   /// 2:1 violation). Leaves below level 2 emit no keys: their neighbors
   /// can never be two levels coarser.
   void mark_splits(BalanceKind kind,
-                   std::vector<std::vector<std::uint8_t>>& split,
-                   std::vector<MarkGrid>& grids) const {
+                   std::vector<std::vector<std::uint8_t>>& split) const {
     for (std::size_t t = 0; t < trees_.size(); ++t) {
       split[t].assign(trees_[t].size(), 0);
     }
     (void)neighbor_sweep<NoSource>(
-        0, num_quadrants(), neighbor_offsets(kind), 2, grids,
+        0, num_quadrants(), neighbor_offsets(kind), 2,
         [&](std::vector<gidx_t>&, std::size_t ti, std::ptrdiff_t j,
             const quad_t& key, NoSource) {
           if (j < 0) {
@@ -2127,9 +2106,8 @@ class Forest {
     obs::TraceSpan span("forest", "adjacency_scan");
     span.arg("range", static_cast<std::int64_t>(last - first));
     const auto offsets = neighbor_offsets(BalanceKind::kFull);
-    std::vector<MarkGrid> grids(trees_.size());
     std::vector<gidx_t> seen = neighbor_sweep<SweepSource>(
-        first, last, offsets, 0, grids,
+        first, last, offsets, 0,
         [&](std::vector<gidx_t>& out, std::size_t ti, std::ptrdiff_t j,
             const quad_t& key, const SweepSource& from) {
           const auto& tree = trees_[ti];
@@ -2259,6 +2237,7 @@ class Forest {
   bool payload_enabled_ = false;
   std::vector<std::vector<std::uint64_t>> payloads_;
   std::vector<gidx_t> tree_offsets_;        ///< size num_trees()+1
+  std::vector<MarkGrid> grids_;             ///< one per tree (reindex)
   std::vector<std::int64_t> rank_offsets_;  ///< size num_ranks()+1
 };
 

@@ -21,7 +21,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -143,7 +142,9 @@ class ByteReader {
     if (static_cast<std::size_t>(end_ - p_) < n) {
       throw std::runtime_error("qforest::io: truncated message buffer");
     }
-    std::memcpy(dst, p_, n);
+    if (n != 0) {  // an empty array's data() may be null: UB for memcpy
+      std::memcpy(dst, p_, n);
+    }
     p_ += n;
   }
 
@@ -293,18 +294,12 @@ inline constexpr int kTagGhostData = 102;     ///< round 2: payload blocks
 /// Knobs of exchange_ghost_payloads.
 struct GhostExchangeOptions {
   /// Overlap interior computation with the in-flight exchange (post
-  /// sends, compute interior, then wait for ghost data). The default
-  /// honors the QFOREST_NO_OVERLAP ablation switch, which forces the
-  /// post-then-wait serial order instead.
-  bool overlap = overlap_default();
+  /// sends, compute interior, then wait for ghost data); false forces the
+  /// post-then-wait serial order instead (the overlap ablation).
+  bool overlap = true;
 
   /// Simulated interconnect latency per message (see Mailbox); 0 = none.
   std::chrono::microseconds delivery_delay{0};
-
-  [[nodiscard]] static bool overlap_default() {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe) — read once before threads start
-    return std::getenv("QFOREST_NO_OVERLAP") == nullptr;
-  }
 };
 
 /// Result of one sharded exchange: payloads[r][e] is the payload of rank
@@ -332,8 +327,8 @@ struct GhostExchangeResult {
 /// (ghost-independent computation, e.g. the interior side of
 /// Forest::rank_work_split) while its data messages are still in flight
 /// and drains them afterwards; without it the rank waits for all data
-/// first (the QFOREST_NO_OVERLAP ablation). Either way \p boundary runs
-/// last with the filled flat ghost buffer.
+/// first (the overlap ablation). Either way \p boundary runs last with
+/// the filled flat ghost buffer.
 ///
 /// \p ghosts must hold ghost_layer(r) for every rank r of the forest and
 /// the payload channel must be enabled.

@@ -63,7 +63,8 @@ void ThreadPool::parallel_for_grain(
     return;
   }
   grain = std::max<std::size_t>(grain, 1);
-  const std::size_t tasks = (n + grain - 1) / grain;
+  // Not (n + grain - 1) / grain, which wraps for a huge grain.
+  const std::size_t tasks = n / grain + (n % grain != 0);
   if (tasks == 1) {
     fn(0, n);
     return;

@@ -44,7 +44,6 @@ class DebugChecks : public ::testing::Test {
   void TearDown() override {
     set_chunk_grain(saved_grain_);
     set_tree_parallelism(true);
-    set_intra_tree_parallelism(true);
     debug::callback_detector().reset();
     debug::reset_violations();
   }

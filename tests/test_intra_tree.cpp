@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -26,18 +27,15 @@ class IntraTreeEnv : public ::testing::Test {
  protected:
   void SetUp() override {
     saved_tree_ = tree_parallelism();
-    saved_intra_ = intra_tree_parallelism();
     saved_grain_ = chunk_grain();
   }
   void TearDown() override {
     set_tree_parallelism(saved_tree_);
-    set_intra_tree_parallelism(saved_intra_);
     set_chunk_grain(saved_grain_);
   }
 
  private:
   bool saved_tree_ = true;
-  bool saved_intra_ = true;
   std::size_t saved_grain_ = 0;
 };
 
@@ -131,7 +129,6 @@ TYPED_TEST(IntraTreeT, TinyChunkGrainsMatchSerialPath) {
   const Forest<R> reference = run_pipeline<R>();
   ASSERT_TRUE(reference.is_valid());
   set_tree_parallelism(true);
-  set_intra_tree_parallelism(true);
   for (const std::size_t grain : {std::size_t{1}, std::size_t{2},
                                   std::size_t{7}}) {
     set_chunk_grain(grain);
@@ -144,12 +141,35 @@ TYPED_TEST(IntraTreeT, TinyChunkGrainsMatchSerialPath) {
 TYPED_TEST(IntraTreeT, PerTreeOnlySchedulerMatchesChunked) {
   using R = TypeParam;
   set_tree_parallelism(true);
-  set_intra_tree_parallelism(false);  // per-tree only (pre-chunking)
+  set_chunk_grain(SIZE_MAX);  // per-tree only: each tree is one chunk
   const Forest<R> per_tree = run_pipeline<R>();
-  set_intra_tree_parallelism(true);
   set_chunk_grain(3);
   const Forest<R> chunked = run_pipeline<R>();
   EXPECT_TRUE(same_forest(per_tree, chunked));
+}
+
+TEST(ChunkCount, HugeGrainIsOneChunk) {
+  // n + grain - 1 would wrap to a small number for these grains.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                              std::size_t{4097}, SIZE_MAX}) {
+    EXPECT_EQ(batch::chunk_count(n, SIZE_MAX), 1u) << n;
+    EXPECT_EQ(batch::chunk_count(n, SIZE_MAX - 1), n == SIZE_MAX ? 2u : 1u)
+        << n;
+  }
+  EXPECT_EQ(batch::chunk_count(0, SIZE_MAX), 0u);
+  EXPECT_EQ(batch::chunk_count(10, 3), 4u);
+}
+
+TYPED_TEST(IntraTreeT, HugeChunkGrainMatchesDefaultGrain) {
+  using R = TypeParam;
+  const Forest<R> reference = run_pipeline<R>();
+  const test::ChunkGrainGuard huge(SIZE_MAX);
+  const auto uniform = Forest<R>::new_uniform(Connectivity::unit(R::dim), 2);
+  EXPECT_TRUE(uniform.is_valid());
+  EXPECT_EQ(uniform.num_quadrants(), gidx_t{1} << (2 * R::dim));
+  const Forest<R> one_chunk = run_pipeline<R>();
+  EXPECT_TRUE(one_chunk.is_valid());
+  EXPECT_TRUE(same_forest(reference, one_chunk));
 }
 
 using R3 = MortonRep<3>;
@@ -166,7 +186,6 @@ TEST_F(IntraTreeEnv, MultiTreeTinyChunksMatchSerial) {
   set_tree_parallelism(false);
   const auto reference = build();
   set_tree_parallelism(true);
-  set_intra_tree_parallelism(true);
   set_chunk_grain(2);
   const auto chunked = build();
   EXPECT_TRUE(same_forest(reference, chunked));
@@ -174,8 +193,8 @@ TEST_F(IntraTreeEnv, MultiTreeTinyChunksMatchSerial) {
 
 TEST_F(IntraTreeEnv, BalanceGridReuseAcrossFixpointIterationsMatchesOracle) {
   // A corner chain refined far past its neighbors forces several balance
-  // fixpoint iterations, so grids of unchanged trees get reused while
-  // dirty trees rebuild theirs.
+  // fixpoint iterations; after each apply, reindex rebuilds the grids of
+  // the split trees only, and the next mark sweep reads every tree's.
   auto build = [] {
     auto f = Forest<R3>::new_uniform(Connectivity::brick3d(2, 1, 1), 1);
     f.enable_payload(3);
@@ -191,8 +210,8 @@ TEST_F(IntraTreeEnv, BalanceGridReuseAcrossFixpointIterationsMatchesOracle) {
     auto balanced = build();
     balanced.balance(BalanceKind::kFull);
     EXPECT_TRUE(same_forest(reference, balanced));
-    // Reuse must also keep the no-op property: a second balance changes
-    // nothing.
+    // The reindexed grids must also keep the no-op property: a second
+    // balance changes nothing.
     const gidx_t leaves = balanced.num_quadrants();
     balanced.balance(BalanceKind::kFull);
     EXPECT_EQ(balanced.num_quadrants(), leaves);

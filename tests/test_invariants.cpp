@@ -70,6 +70,18 @@ TEST(FailureInjection, ExtraLeafRejected) {
   EXPECT_FALSE(f.is_valid());
 }
 
+TEST(FailureInjection, RepeatedLeafArrayRejected) {
+  // The second copy meets every cell the first one met: at a tiny grain,
+  // the cell index build must still give each cell one writer.
+  const test::ChunkGrainGuard tiny(2);
+  auto f = small_forest();
+  auto trees = leaves_of(f);
+  const auto once = trees[0];
+  trees[0].insert(trees[0].end(), once.begin(), once.end());
+  f.replace_leaves(std::move(trees));
+  EXPECT_FALSE(f.is_valid());
+}
+
 TEST(FailureInjection, GarbageWordRejected) {
   auto f = small_forest();
   auto trees = leaves_of(f);

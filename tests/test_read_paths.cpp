@@ -2,13 +2,18 @@
 /// \brief Parity of the read-side consumer paths against the per-quadrant
 /// oracle (tests/forest_oracle.hpp): ghost_layer (multi-rank, cross-tree,
 /// periodic wrap), mirrors (also == per-rank recomputation), iterate_faces
-/// (hanging + boundary faces, unbalanced forests) and search_points, under
-/// both kernel settings and tiny chunk grains that force many chunks.
+/// (hanging + boundary faces, unbalanced forests), search_points and
+/// is_balanced, under both kernel settings and tiny chunk grains that
+/// force many chunks. The read paths borrow the forest's MarkGrids: they
+/// must match the oracle after every kind of mesh change and never build a
+/// grid themselves.
 
 #include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <sstream>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -16,9 +21,11 @@
 #include <gtest/gtest.h>
 
 #include "forest/forest.hpp"
+#include "forest/io.hpp"
 #include "forest/vforest.hpp"
 #include "forest_oracle.hpp"
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
 #include "util/random.hpp"
 
 namespace qforest {
@@ -281,6 +288,130 @@ TEST(ReadPaths, VForestSearchPointsMatchesTemplateForest) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], expected[i]) << i;
   }
+}
+
+// ------------------------------------------------ the forest-owned index
+
+/// Every read path that sweeps the MarkGrids (each rank's ghost layer and
+/// mirrors, the faces, is_balanced) against the oracle, on \p f as it is.
+template <class R>
+void expect_reads_match_oracle(const Forest<R>& f, const char* after) {
+  SCOPED_TRACE(::testing::Message() << R::name << " after " << after);
+  ASSERT_TRUE(f.is_valid());
+  const auto got = adjacency_sets(f, false);
+  const auto want = adjacency_sets(f, true);
+  EXPECT_EQ(got.first, want.first);
+  EXPECT_EQ(got.second, want.second);
+  EXPECT_EQ(face_fingerprint(f, false), face_fingerprint(f, true));
+  for (const BalanceKind kind : {BalanceKind::kFace, BalanceKind::kFull}) {
+    EXPECT_EQ(f.is_balanced(kind), oracle::is_balanced(f, kind));
+  }
+}
+
+/// A two-tree brick (periodic in x in 2D) whose trees get different
+/// refinement, so the cross-tree keys meet mixed levels.
+template <class R>
+Forest<R> two_tree_forest(int ranks) {
+  if constexpr (R::dim == 2) {
+    return make_refined<R>(Connectivity::brick2d(2, 1, true, false), 2,
+                           ranks);
+  } else {
+    return make_refined<R>(Connectivity::brick3d(2, 1, 1), 1, ranks);
+  }
+}
+
+/// A stale grid resolves keys against leaf ranges of the old mesh, so
+/// each mutator must reindex: refine, coarsen, balance, replace_leaves,
+/// load_forest, and a refine whose callback throws after its first wave
+/// was applied (the exception path). The kernel/grain loop also builds
+/// the grids at a tiny chunk grain.
+TYPED_TEST(ReadPathsT, ReadsMatchOracleAfterEveryMutator) {
+  using R = TypeParam;
+  using quad_t = typename R::quad_t;
+  test::for_each_kernel_and_grain(3, [&] {
+    auto f = two_tree_forest<R>(3);
+    // A chain into tree 0's corner at its +x face, three levels deeper
+    // than the base: tree 1 across the face is then 2:1-unbalanced.
+    const int top = R::level(f.tree_quadrants(1).back()) + 3;
+    f.refine(true, [top](tree_id_t t, const quad_t& q) {
+      const CanonicalQuadrant c = to_canonical<R>(q);
+      const std::int64_t h = std::int64_t{1} << (kCanonicalLevel - c.level);
+      return t == 0 && c.level < top &&
+             c.x + h == (std::int64_t{1} << kCanonicalLevel) && c.y == 0 &&
+             c.z == 0;
+    });
+    expect_reads_match_oracle(f, "refine");
+
+    const gidx_t unbalanced = f.num_quadrants();
+    f.balance(BalanceKind::kFull);
+    EXPECT_GT(f.num_quadrants(), unbalanced);
+    expect_reads_match_oracle(f, "balance");
+
+    f.coarsen(false, [](tree_id_t, const quad_t* fam) {
+      return R::level_index(fam[0]) % 3 == 0;
+    });
+    expect_reads_match_oracle(f, "coarsen");
+
+    auto finer = f;
+    finer.refine(false, [](tree_id_t t, const quad_t& q) {
+      return (R::level_index(q) + static_cast<morton_t>(t)) % 4 == 1;
+    });
+    std::vector<std::vector<quad_t>> trees;
+    for (tree_id_t t = 0; t < finer.num_trees(); ++t) {
+      trees.push_back(finer.tree_quadrants(t));
+    }
+    f.replace_leaves(std::move(trees));
+    expect_reads_match_oracle(f, "replace_leaves");
+
+    std::stringstream stream;
+    save_forest(stream, f);
+    expect_reads_match_oracle(load_forest<R>(stream), "load_forest");
+
+    // Wave 1 refines the finest leaves with an even index; wave 2 visits
+    // their children and throws.
+    const int finest = f.max_level_used();
+    const gidx_t before = f.num_quadrants();
+    EXPECT_THROW(f.refine(true,
+                          [finest](tree_id_t, const quad_t& q) -> bool {
+                            if (R::level(q) > finest) {
+                              throw std::runtime_error("refine boom");
+                            }
+                            return R::level(q) == finest &&
+                                   R::level_index(q) % 2 == 0;
+                          }),
+                 std::runtime_error);
+    EXPECT_GT(f.num_quadrants(), before);
+    expect_reads_match_oracle(f, "a throwing refine");
+  });
+}
+
+/// The read paths only borrow the grids: none of them builds one, while
+/// a mesh change does.
+TYPED_TEST(ReadPathsT, ReadPathsBuildNoGrid) {
+  using R = TypeParam;
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics(true);
+  const obs::Counter& builds = obs::counter("forest.markgrid.builds");
+  test::for_each_kernel_and_grain(3, [&] {
+    auto f = two_tree_forest<R>(3);
+    Xoshiro256 rng(5);
+    const auto pts = random_points(rng, R::dim, f.num_trees(), 100);
+    const std::uint64_t before = builds.value();
+    for (int r = 0; r < f.num_ranks(); ++r) {
+      (void)f.ghost_layer(r);
+      (void)f.mirrors(r);
+      (void)f.rank_work_split(r);
+    }
+    f.iterate_faces([](const FaceInfo<R>&) {});
+    (void)f.search_points(pts);
+    (void)f.is_balanced(BalanceKind::kFull);
+    EXPECT_EQ(builds.value(), before);
+    f.refine(false, [](tree_id_t, const typename R::quad_t& q) {
+      return R::level_index(q) % 7 == 0;
+    });
+    EXPECT_GT(builds.value(), before);
+  });
+  obs::set_metrics(metrics_were_on);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ Overlap ablation checks (for bench_strong_scaling traces, where
                         intersect an inflight span on the same lane
                         (comm/compute overlap actually happened).
 ``--require-disjoint``  no interior span with overlap=0 may intersect any
-                        inflight span on its lane (the QFOREST_NO_OVERLAP
+                        inflight span on its lane (the overlap=false
                         ordering serializes compute after the drain).
 
 Exit status 0 on success, 1 on any violation. Stdlib only.
