@@ -35,8 +35,9 @@
 /// Scheduling is two-level: the per-tree outer loops of the adaptation
 /// algorithms run on the shared forest thread pool (level 1), and within
 /// each tree the hot passes — refine mark waves, the coarsen family
-/// decision sweep, the balance mark passes and the split apply — cut the
-/// tree's leaf array into contiguous cache-sized chunks dispatched on the
+/// decision sweep, the balance mark passes (over every leaf, then over
+/// the frontier each split leaves) and the split apply — cut the tree's
+/// leaves into contiguous cache-sized chunks dispatched on the
 /// same pool (level 2), so a single-tree forest (the common benchmark
 /// shape) saturates every worker instead of leaving the pool idle. User
 /// callbacks must therefore be safe to invoke concurrently — both for
@@ -468,8 +469,8 @@ class Forest {
   /// Enforce the 2:1 level condition across the chosen neighbor relations
   /// (including across tree faces) by iterated splitting until fixpoint.
   ///
-  /// The mark phase is one neighbor_sweep over every leaf of level >= 2:
-  /// each chunk's leaves are staged into level-uniform spans and all
+  /// Each mark phase is one neighbor_sweep over its source leaves of level
+  /// >= 2: each chunk's leaves are staged into level-uniform spans and all
   /// candidate neighbor keys are produced in bulk through
   /// BatchOps<R>::neighbor_at_offset_n. Keys staying inside their source
   /// tree (the vast majority) resolve against the forest's per-tree
@@ -477,28 +478,40 @@ class Forest {
   /// of leaves; keys crossing a tree face are bucketed by target tree and
   /// resolved there with one sort + sorted-merge sweep over the target's
   /// leaf array. The sweep and the split apply run per tree on the forest
-  /// pool AND in leaf-span chunks within each tree (split-bitmap marks use
-  /// relaxed atomic stores, everything else stays chunk- or tree-local).
-  /// After each apply, reindex rebuilds the offsets and the grids of the
-  /// trees that were split; the other trees keep theirs.
+  /// pool AND in chunks within each tree (split-bitmap marks use relaxed
+  /// atomic stores, everything else stays chunk- or tree-local). After
+  /// each apply, reindex rebuilds the offsets and the grids of the trees
+  /// that were split; the other trees keep theirs.
+  ///
+  /// The first iteration sweeps every leaf; each later one sweeps only the
+  /// frontier the previous split left (balance_frontier): the children it
+  /// created and the sources whose keys it saw land three or more levels
+  /// deeper than the leaf they marked. Every other pair was already
+  /// checked, so each iteration marks the same leaves as a sweep over the
+  /// whole forest would (Isaac, Burstedde & Ghattas 2012).
   ///
   /// An already-balanced forest is a no-op: no split, no leaf-array
   /// rebuild, no repartition.
   void balance(BalanceKind kind = BalanceKind::kFull) {
     obs::TraceSpan span("forest", "balance");
     static obs::Counter& c_iterations = obs::counter("forest.balance.iterations");
+    static obs::Counter& c_swept = obs::counter("forest.balance.swept_leaves");
     std::int64_t iterations = 0;
     bool any_changed = false;
-    bool changed = true;
-    // Split bitmaps and the dirty list are hoisted out of the fixpoint
-    // loop so later iterations reuse their heap buffers.
+    // Mark bitmaps and the dirty list are hoisted out of the fixpoint loop
+    // so later iterations reuse their heap buffers.
     std::vector<std::vector<std::uint8_t>> split(trees_.size());
+    std::vector<std::vector<std::uint8_t>> again(trees_.size());
     std::vector<std::size_t> dirty;
+    LeafRanges frontier{{0, num_quadrants()}};
     adapt_guard([&] {
-      while (changed) {
+      for (;;) {
         c_iterations.add(1);
         ++iterations;
-        mark_splits(kind, split);
+        for (const auto& [a, b] : frontier) {
+          c_swept.add(static_cast<std::uint64_t>(b - a));
+        }
+        mark_splits(kind, frontier, split, again);
         dirty.clear();
         for (std::size_t t = 0; t < trees_.size(); ++t) {
           if (std::find(split[t].begin(), split[t].end(), 1) !=
@@ -506,16 +519,17 @@ class Forest {
             dirty.push_back(t);
           }
         }
-        changed = !dirty.empty();
-        any_changed |= changed;
+        if (dirty.empty()) {
+          return;
+        }
+        any_changed = true;
         parallel_over(dirty.size(), [&](std::size_t d) {
           const std::size_t t = dirty[d];
-          apply_splits(trees_[t],
-                       payload_enabled_ ? &payloads_[t] : nullptr, split[t]);
+          apply_splits(trees_[t], payload_enabled_ ? &payloads_[t] : nullptr,
+                       split[t]);
         });
-        if (changed) {
-          reindex(&dirty);  // the next mark sweep reads offsets and grids
-        }
+        reindex(&dirty);  // the next mark sweep reads offsets and grids
+        frontier = balance_frontier(split, again);
       }
     }, any_changed);
     if (any_changed) {
@@ -526,13 +540,23 @@ class Forest {
   }
 
   /// Check the 2:1 condition without modifying the forest: one balance
-  /// mark pass, which marks nothing exactly when the forest is balanced.
+  /// mark sweep over every leaf, which finds no violation exactly when the
+  /// forest is balanced. The first violation stops the sweep.
   [[nodiscard]] bool is_balanced(BalanceKind kind = BalanceKind::kFull) const {
-    std::vector<std::vector<std::uint8_t>> split(trees_.size());
-    mark_splits(kind, split);
-    return std::none_of(split.begin(), split.end(), [](const auto& marks) {
-      return std::find(marks.begin(), marks.end(), 1) != marks.end();
-    });
+    std::atomic<bool> unbalanced{false};
+    (void)neighbor_sweep<NoSource>(
+        {{0, num_quadrants()}}, neighbor_offsets(kind), 2,
+        [&](std::vector<gidx_t>&, std::size_t ti, std::ptrdiff_t j,
+            const quad_t& key, NoSource) {
+          if (must_split(ti, j, key)) {
+            // mo: relaxed — one-way flag; the sweep only polls it to stop
+            // early, and the load below runs after the regions join.
+            unbalanced.store(true, std::memory_order_relaxed);
+          }
+        },
+        [](std::vector<gidx_t>&, const SweepSource&) {}, &unbalanced);
+    // mo: relaxed — read after the sweep's regions joined.
+    return !unbalanced.load(std::memory_order_relaxed);
   }
 
   // ---------------------------------------------------------------- partition
@@ -786,7 +810,7 @@ class Forest {
       return info;
     };
     (void)neighbor_sweep<SweepSource>(
-        0, num_quadrants(), face_offsets(), 0,
+        {{0, num_quadrants()}}, face_offsets(), 0,
         [&](std::vector<gidx_t>&, std::size_t ti, std::ptrdiff_t j,
             const quad_t& key, const SweepSource& from) {
           if (j < 0) {
@@ -1688,7 +1712,7 @@ class Forest {
   /// balance kind covers.
   static std::vector<std::array<int, 3>> neighbor_offsets(BalanceKind kind) {
     const int max_axes = kind == BalanceKind::kFace   ? 1
-                         : kind == BalanceKind::kEdge ? 2
+                         : kind == BalanceKind::kEdge ? (dim == 3 ? 2 : 1)
                                                       : 3;
     const int zlo = dim == 3 ? -1 : 0;
     const int zhi = dim == 3 ? 1 : 0;
@@ -1857,6 +1881,9 @@ class Forest {
     });
   }
 
+  /// Sorted, disjoint half-open ranges of global leaf indices.
+  using LeafRanges = std::vector<std::pair<gidx_t, gidx_t>>;
+
   /// Where a sweep key came from: the source leaf and the index of its
   /// displacement in the sweep's offset set.
   struct SweepSource {
@@ -1893,13 +1920,15 @@ class Forest {
 
   /// The one neighbor-key sweep behind the balance mark phase, the
   /// ghost/mirror scan and face iteration. For every leaf of level >=
-  /// \p min_level in the global range [first, last) and every
-  /// displacement of \p offsets it produces the same-level neighbor key
-  /// and resolves it to j, the index of the last leaf <= key in the key's
-  /// tree (-1: none) — the key's enclosing leaf when it has one, else the
-  /// leaf right before its finer descendants. Two passes:
-  ///   1. per tree and per leaf chunk: stage the chunk into level-uniform
-  ///      spans, produce the keys in bulk through
+  /// \p min_level in the sorted, disjoint global ranges \p sources (one
+  /// range for a rank or the whole forest; a balance frontier passes many)
+  /// and every displacement of \p offsets it produces the same-level
+  /// neighbor key and resolves it to j, the index of the last leaf <= key
+  /// in the key's tree (-1: none) — the key's enclosing leaf when it has
+  /// one, else the leaf right before its finer descendants. Two passes:
+  ///   1. per tree and per chunk of its sources (chunks are cut by source
+  ///      count, so scattered ranges still balance): stage the chunk into
+  ///      level-uniform spans, produce the keys in bulk through
   ///      BatchOps<R>::neighbor_at_offset_n and wrap them across tree
   ///      faces. Keys leaving the domain go to \p boundary(out, source);
   ///      keys staying in the source tree (a periodic wrap included)
@@ -1913,36 +1942,70 @@ class Forest {
   /// the key's origin, NoSource when it does not (its cross-tree keys then
   /// stay quadrant-sized). Actions run concurrently; \p out is a private
   /// sink per chunk, and the global indices pushed there are returned
-  /// concatenated, unsorted. The sweep only reads the forest's indexes
-  /// (tree offsets and MarkGrids), which reindex keeps current.
+  /// concatenated, unsorted. Once \p stop is set (an action may set it)
+  /// the chunks and targets not yet started are skipped, so a yes/no
+  /// question answers at its first hit. The sweep only reads the forest's
+  /// indexes (tree offsets and MarkGrids), which reindex keeps current.
   template <class Payload, class Hit, class Boundary>
   std::vector<gidx_t> neighbor_sweep(
-      gidx_t first, gidx_t last, const std::vector<std::array<int, 3>>& offsets,
-      int min_level, Hit&& hit, Boundary&& boundary) const {
-    std::vector<gidx_t> out;
-    if (first >= last) {
-      return out;
+      const LeafRanges& sources, const std::vector<std::array<int, 3>>& offsets,
+      int min_level, Hit&& hit, Boundary&& boundary,
+      const std::atomic<bool>* stop = nullptr) const {
+    const auto stopped = [stop] {
+      // mo: relaxed — one-way early-exit hint; skipping work on a stale
+      // value only costs time, and the caller reads its result after the
+      // regions join.
+      return stop != nullptr && stop->load(std::memory_order_relaxed);
+    };
+    // The sources clipped to each tree they meet: local index ranges and
+    // their running source counts (start[r]: the sources before range r).
+    struct TreeSources {
+      std::size_t tree;
+      std::vector<std::pair<std::size_t, std::size_t>> ranges;
+      std::vector<std::size_t> start;
+    };
+    std::vector<TreeSources> scan;
+    for (auto [a, b] : sources) {
+      if (a >= b) {
+        continue;
+      }
+      for (auto t = static_cast<std::size_t>(locate(a).first); a < b; ++t) {
+        const gidx_t end = std::min(b, tree_offsets_[t + 1]);
+        if (end <= a) {
+          continue;  // an empty tree
+        }
+        if (scan.empty() || scan.back().tree != t) {
+          scan.push_back({t, {}, {0}});
+        }
+        TreeSources& ts = scan.back();
+        const gidx_t base = tree_offsets_[t];
+        ts.ranges.emplace_back(static_cast<std::size_t>(a - base),
+                               static_cast<std::size_t>(end - base));
+        ts.start.push_back(ts.start.back() + static_cast<std::size_t>(end - a));
+        a = end;
+      }
     }
-    const std::pair<tree_id_t, std::size_t> lo = locate(first);
-    const std::pair<tree_id_t, std::size_t> hi = locate(last - 1);
-    const auto t0 = static_cast<std::size_t>(lo.first);
-    const std::size_t nscan = static_cast<std::size_t>(hi.first - lo.first) + 1;
+    const std::size_t nscan = scan.size();
     const std::size_t grain = chunk_grain();
     static obs::Counter& c_local = obs::counter("forest.scan.local_keys");
     static obs::Counter& c_merge = obs::counter("forest.scan.merge_keys");
+    std::vector<gidx_t> out;
     std::vector<std::vector<gidx_t>> source_out(nscan);
     std::vector<std::vector<RemoteBucket<Payload>>> buckets(nscan);
     parallel_over(nscan, [&](std::size_t k) {
-      const std::size_t ti = t0 + k;
+      const std::size_t ti = scan[k].tree;
       const auto t = static_cast<tree_id_t>(ti);
       const auto& tree = trees_[ti];
-      const std::size_t a = k == 0 ? lo.second : 0;
-      const std::size_t b = k + 1 == nscan ? hi.second + 1 : tree.size();
-      const std::size_t nchunks = batch::chunk_count(b - a, grain);
+      const auto& ranges = scan[k].ranges;
+      const auto& start = scan[k].start;
+      const std::size_t nchunks = batch::chunk_count(start.back(), grain);
       std::vector<std::vector<gidx_t>> chunk_out(nchunks);
       std::vector<std::vector<RemoteBucket<Payload>>> chunk_buckets(nchunks);
-      parallel_chunks(b - a, grain,
+      parallel_chunks(start.back(), grain,
                       [&](std::size_t c, std::size_t cb, std::size_t ce) {
+        if (stopped()) {
+          return;
+        }
         auto& mine = chunk_out[c];
         auto& my_buckets = chunk_buckets[c];
         auto bucket_for =
@@ -1959,7 +2022,15 @@ class Forest {
         std::size_t local_keys = 0;
         std::size_t merge_keys = 0;
         IndexedSpanStage<R> staged;
-        for (std::size_t i = a + cb; i < a + ce; ++i) {
+        // Source p of the tree is leaf ranges[r].first + p - start[r].
+        auto r = static_cast<std::size_t>(
+            std::upper_bound(start.begin(), start.end(), cb) - start.begin() -
+            1);
+        for (std::size_t p = cb; p < ce; ++p) {
+          if (p == start[r + 1]) {
+            ++r;
+          }
+          const std::size_t i = ranges[r].first + (p - start[r]);
           if (R::level(tree[i]) >= min_level) {
             staged.add(tree[i], i);
           }
@@ -2031,7 +2102,7 @@ class Forest {
     }
     std::vector<std::vector<gidx_t>> target_out(nt);
     parallel_over(nt, [&](std::size_t ti) {
-      if (incoming[ti].empty()) {
+      if (incoming[ti].empty() || stopped()) {
         return;
       }
       std::size_t total = 0;
@@ -2064,32 +2135,81 @@ class Forest {
 
   // ------------------------------------------------ sweep consumers
 
-  /// Balance mark phase: split[t][i] = 1 for every leaf two or more levels
-  /// coarser than a same-level neighbor key of some leaf under \p kind (a
-  /// 2:1 violation). Leaves below level 2 emit no keys: their neighbors
-  /// can never be two levels coarser.
-  void mark_splits(BalanceKind kind,
-                   std::vector<std::vector<std::uint8_t>>& split) const {
+  /// Whether the leaf j a sweep key resolved to violates 2:1 against the
+  /// key: it encloses the key and is two or more levels coarser.
+  [[nodiscard]] bool must_split(std::size_t ti, std::ptrdiff_t j,
+                                const quad_t& key) const {
+    if (j < 0) {
+      return false;
+    }
+    const quad_t& leaf = trees_[ti][static_cast<std::size_t>(j)];
+    return R::level(leaf) < R::level(key) - 1 && encloses(leaf, key);
+  }
+
+  /// Balance mark phase over the leaves of \p sources: split[t][i] = 1
+  /// for every leaf two or more levels coarser than a same-level neighbor
+  /// key of a source under \p kind (a 2:1 violation). Leaves below level
+  /// 2 emit no keys: their neighbors can never be two levels coarser.
+  /// again[t][i] = 1 for every source whose key marked a leaf three or
+  /// more levels coarser: that key lands in a child of the split leaf that
+  /// is still two levels too coarse, so the next iteration must sweep the
+  /// source again.
+  void mark_splits(BalanceKind kind, const LeafRanges& sources,
+                   std::vector<std::vector<std::uint8_t>>& split,
+                   std::vector<std::vector<std::uint8_t>>& again) const {
     for (std::size_t t = 0; t < trees_.size(); ++t) {
       split[t].assign(trees_[t].size(), 0);
+      again[t].assign(trees_[t].size(), 0);
     }
-    (void)neighbor_sweep<NoSource>(
-        0, num_quadrants(), neighbor_offsets(kind), 2,
+    (void)neighbor_sweep<SweepSource>(
+        sources, neighbor_offsets(kind), 2,
         [&](std::vector<gidx_t>&, std::size_t ti, std::ptrdiff_t j,
-            const quad_t& key, NoSource) {
-          if (j < 0) {
+            const quad_t& key, const SweepSource& from) {
+          if (!must_split(ti, j, key)) {
             return;
           }
           const auto leaf = static_cast<std::size_t>(j);
-          if (R::level(trees_[ti][leaf]) < R::level(key) - 1 &&
-              encloses(trees_[ti][leaf], key)) {
-            // mo: relaxed — idempotent mark byte (chunks and targets may
-            // mark the same leaf); readers run after the regions join.
-            std::atomic_ref<std::uint8_t>(split[ti][leaf])
+          // mo: relaxed — idempotent mark byte (chunks and targets may
+          // mark the same leaf); readers run after the regions join.
+          std::atomic_ref<std::uint8_t>(split[ti][leaf])
+              .store(1, std::memory_order_relaxed);
+          if (R::level(key) - R::level(trees_[ti][leaf]) >= 3) {
+            // mo: relaxed — idempotent mark byte (the targets of one
+            // source's keys may mark it concurrently); read after the join.
+            std::atomic_ref<std::uint8_t>(
+                again[static_cast<std::size_t>(from.tree)][from.leaf])
                 .store(1, std::memory_order_relaxed);
           }
         },
         [](std::vector<gidx_t>&, const SweepSource&) {});
+  }
+
+  /// The sources of the balance iteration after one that split the leaves
+  /// marked in \p split and reindexed: the children of every split leaf
+  /// plus every unsplit leaf marked in \p again (both bitmaps indexed as
+  /// before the split). Walking the old indices in order computes where
+  /// each lands, i + S(i)*(2^d - 1) with S(i) the splits below i in its
+  /// tree, as in splice_splits. Every other (source, leaf) pair existed
+  /// unchanged in the iteration before, which would have marked it.
+  [[nodiscard]] LeafRanges balance_frontier(
+      const std::vector<std::vector<std::uint8_t>>& split,
+      const std::vector<std::vector<std::uint8_t>>& again) const {
+    LeafRanges next;
+    for (std::size_t t = 0; t < trees_.size(); ++t) {
+      gidx_t g = tree_offsets_[t];
+      for (std::size_t i = 0; i < split[t].size(); ++i) {
+        const gidx_t width = split[t][i] ? dims::num_children : 1;
+        if (split[t][i] || again[t][i]) {
+          if (!next.empty() && next.back().second == g) {
+            next.back().second += width;
+          } else {
+            next.emplace_back(g, g + width);
+          }
+        }
+        g += width;
+      }
+    }
+    return next;
   }
 
   /// Shared core of ghost_layer and mirrors: scan the leaves of the
@@ -2107,7 +2227,7 @@ class Forest {
     span.arg("range", static_cast<std::int64_t>(last - first));
     const auto offsets = neighbor_offsets(BalanceKind::kFull);
     std::vector<gidx_t> seen = neighbor_sweep<SweepSource>(
-        first, last, offsets, 0,
+        {{first, last}}, offsets, 0,
         [&](std::vector<gidx_t>& out, std::size_t ti, std::ptrdiff_t j,
             const quad_t& key, const SweepSource& from) {
           const auto& tree = trees_[ti];

@@ -29,7 +29,7 @@ namespace qforest::oracle {
 inline std::vector<std::array<int, 3>> neighbor_offsets(int dim,
                                                         BalanceKind kind) {
   const int max_axes = kind == BalanceKind::kFace   ? 1
-                       : kind == BalanceKind::kEdge ? 2
+                       : kind == BalanceKind::kEdge ? (dim == 3 ? 2 : 1)
                                                     : 3;
   std::vector<std::array<int, 3>> out;
   for (int dz = dim == 3 ? -1 : 0; dz <= (dim == 3 ? 1 : 0); ++dz) {
@@ -91,11 +91,13 @@ bool is_balanced(const Forest<R>& f, BalanceKind kind) {
 
 /// Iterated mark-all / split-all until no leaf is marked; children inherit
 /// the parent's payload. Leaves an already-balanced forest untouched (no
-/// replace_leaves, hence no repartition), like Forest::balance.
+/// replace_leaves, hence no repartition), like Forest::balance. Returns
+/// the number of mark passes, the last one (which marks nothing)
+/// included — Forest::balance's forest.balance.iterations count.
 template <class R>
-void balance(Forest<R>& f, BalanceKind kind) {
+int balance(Forest<R>& f, BalanceKind kind) {
   constexpr int nc = DimConstants<R::dim>::num_children;
-  for (;;) {
+  for (int passes = 1;; ++passes) {
     const auto split = mark_splits(f, kind);
     bool any = false;
     std::vector<std::vector<typename R::quad_t>> trees;
@@ -116,7 +118,7 @@ void balance(Forest<R>& f, BalanceKind kind) {
       }
     }
     if (!any) {
-      return;
+      return passes;
     }
     f.replace_leaves(std::move(trees));
     if (f.payload_enabled()) {
