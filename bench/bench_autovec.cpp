@@ -7,8 +7,6 @@
 ///   3. intrinsics    — AVX2 representation (paper Algorithm 9)
 ///   4. batch256      — two quadrants per 256-bit register (future work)
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -93,7 +91,7 @@ double time_best_of(int reps, const std::function<double()>& run) {
 }  // namespace
 }  // namespace qforest::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace qforest;
   using namespace qforest::bench;
 
@@ -143,43 +141,5 @@ int main(int argc, char** argv) {
   t.add_row({"batch 256-bit (2 quads/op)", Table::fmt(t_batch, 6),
              Table::fmt(speedup_percent(t_novec, t_batch), 1)});
   t.print();
-  std::printf("\n");
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RegisterBenchmark("autovec/scalar", [&](benchmark::State& st) {
-    for (auto _ : st) {
-      auto v = child_loop_novec(s.soa, s.child.data(), s.n);
-      benchmark::DoNotOptimize(v);
-    }
-    st.SetItemsProcessed(static_cast<std::int64_t>(st.iterations()) *
-                         static_cast<std::int64_t>(s.n));
-  });
-  benchmark::RegisterBenchmark("autovec/compiler", [&](benchmark::State& st) {
-    for (auto _ : st) {
-      auto v = child_loop_autovec(s.soa, s.child.data(), s.n);
-      benchmark::DoNotOptimize(v);
-    }
-    st.SetItemsProcessed(static_cast<std::int64_t>(st.iterations()) *
-                         static_cast<std::int64_t>(s.n));
-  });
-  benchmark::RegisterBenchmark("autovec/intrinsics",
-                               [&](benchmark::State& st) {
-    for (auto _ : st) {
-      auto v = intrinsics_loop(s);
-      benchmark::DoNotOptimize(v);
-    }
-    st.SetItemsProcessed(static_cast<std::int64_t>(st.iterations()) *
-                         static_cast<std::int64_t>(s.n));
-  });
-  benchmark::RegisterBenchmark("autovec/batch256", [&](benchmark::State& st) {
-    for (auto _ : st) {
-      auto v = batch256_loop(s);
-      benchmark::DoNotOptimize(v);
-    }
-    st.SetItemsProcessed(static_cast<std::int64_t>(st.iterations()) *
-                         static_cast<std::int64_t>(s.n));
-  });
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

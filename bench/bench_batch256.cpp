@@ -3,8 +3,6 @@
 /// register capacity (256-bit AVX2)": batched two-quadrants-per-register
 /// Child / Parent / FNeigh versus the per-quadrant 128-bit kernels.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -54,7 +52,7 @@ double best_of(int reps, Fn&& fn) {
 }  // namespace
 }  // namespace qforest::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace qforest;
   using namespace qforest::bench;
 
@@ -113,29 +111,5 @@ int main(int argc, char** argv) {
              Table::fmt(speedup_percent(f128, f256), 1)});
 
   t.print();
-  std::printf("\n");
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RegisterBenchmark("batch256/child_128", [&](benchmark::State& st) {
-    for (auto _ : st) {
-      for (std::size_t i = 0; i < s.in.size(); ++i) {
-        s.out[i] = A::child(s.in[i], 5);
-      }
-      benchmark::DoNotOptimize(s.out.data());
-    }
-    st.SetItemsProcessed(static_cast<std::int64_t>(st.iterations()) *
-                         static_cast<std::int64_t>(s.in.size()));
-  });
-  benchmark::RegisterBenchmark("batch256/child_256", [&](benchmark::State& st) {
-    for (auto _ : st) {
-      Batch::child_uniform(s.in.data(), s.out.data(), s.in.size(), 5,
-                           s.level);
-      benchmark::DoNotOptimize(s.out.data());
-    }
-    st.SetItemsProcessed(static_cast<std::int64_t>(st.iterations()) *
-                         static_cast<std::int64_t>(s.in.size()));
-  });
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -47,7 +47,7 @@ double time_spread(const std::vector<std::uint64_t>& v, int reps, Fn&& fn) {
 }  // namespace
 }  // namespace qforest::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace qforest;
   using namespace qforest::bench;
 
@@ -130,11 +130,5 @@ int main(int argc, char** argv) {
   t2.add_row({"raw morton (Alg.4)", Table::fmt(t_raw, 6),
               Table::fmt(speedup_percent(t_alg1, t_raw), 1)});
   t2.print();
-  std::printf("\n");
-
-  // This binary's measurements are all custom tables; no google-benchmark
-  // registrations, so skip the (empty) micro section.
-  (void)argc;
-  (void)argv;
   return 0;
 }

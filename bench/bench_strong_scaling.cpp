@@ -20,17 +20,16 @@
 /// serial reference, the overlap-vs-no-overlap boost and per-rank worker
 /// times. Every round's exchanged payloads are compared against the
 /// shared-memory Forest::ghost_exchange reference; the binary exits
-/// nonzero on any mismatch. With QFOREST_SS_ENFORCE=1 (default) on a host
-/// with >= 4 cores and a mesh >= 1M leaves, the run fails unless
-/// efficiency at 16 ranks reaches 60% and some rank count shows an
-/// overlap boost.
+/// nonzero on any mismatch. On a host with >= 4 cores and a mesh >= 1M
+/// leaves, the run also fails unless efficiency at 16 ranks reaches 60%
+/// and some rank count shows an overlap boost.
 /// Results land on stdout and in BENCH_strong_scaling.json.
 ///
 /// Env knobs: QFOREST_SS_DEPTH (refine depth, default 8 -> ~2.2M leaves),
 /// QFOREST_SS_SWEEPS (best-of repetitions, default 3), QFOREST_SS_ROUNDS
 /// (exchange rounds per sweep, default 2), QFOREST_SS_WORK (compute
 /// iterations per leaf, default 32), QFOREST_SS_LATENCY_US,
-/// QFOREST_SS_MAX_RANKS (default 64), QFOREST_SS_ENFORCE.
+/// QFOREST_SS_MAX_RANKS (default 64).
 
 #include <algorithm>
 #include <chrono>
@@ -67,7 +66,6 @@ struct Knobs {
   int work_iters = 32;
   int latency_us = 100;
   int max_ranks = 64;
-  bool enforce = true;
 };
 
 int env_int(const char* name, int fallback) {
@@ -245,7 +243,6 @@ int main() {
   k.work_iters = env_int("QFOREST_SS_WORK", k.work_iters);
   k.latency_us = env_int("QFOREST_SS_LATENCY_US", k.latency_us);
   k.max_ranks = env_int("QFOREST_SS_MAX_RANKS", k.max_ranks);
-  k.enforce = env_int("QFOREST_SS_ENFORCE", 1) != 0;
 
   const unsigned cores = std::thread::hardware_concurrency();
   Forest<R3> mesh = make_mesh(k);
@@ -378,8 +375,8 @@ int main() {
   // or after (no-overlap) the ghost.inflight spans.
   obs::write_trace_if_enabled("TRACE_strong_scaling.json");
 
-  const bool enforceable = k.enforce && cores >= kEnforceMinCores &&
-                           leaves >= kEnforceMinLeaves;
+  const bool enforceable =
+      cores >= kEnforceMinCores && leaves >= kEnforceMinLeaves;
   if (enforceable) {
     if (efficiency_at_16 >= 0.0 && efficiency_at_16 < kEnforceMinEfficiency) {
       std::fprintf(stderr,
@@ -396,7 +393,7 @@ int main() {
                    static_cast<long long>(leaves));
       return 1;
     }
-  } else if (k.enforce) {
+  } else {
     std::printf("(enforcement skipped: needs >= %u cores and >= %lld "
                 "leaves; host has %u cores, mesh %lld leaves)\n",
                 kEnforceMinCores,

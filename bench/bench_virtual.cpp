@@ -5,8 +5,6 @@
 /// "we cannot predict whether the new interface and glue code will be
 /// acceptable to the community".
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/quadrant_avx.hpp"
@@ -71,7 +69,7 @@ double time_virtual_child(RepKind kind, const std::vector<WorkItem>& items,
 }  // namespace
 }  // namespace qforest::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace qforest;
   using namespace qforest::bench;
 
@@ -108,24 +106,5 @@ int main(int argc, char** argv) {
                Table::fmt(100.0 * (r.virt - r.stat) / r.stat, 1)});
   }
   t.print();
-  std::printf("\n");
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RegisterBenchmark("virtual/static_morton",
-                               [&](benchmark::State& st) {
-    for (auto _ : st) {
-      auto v = time_static_child<MortonRep<3>>(items, 1);
-      benchmark::DoNotOptimize(v);
-    }
-  });
-  benchmark::RegisterBenchmark("virtual/vtable_morton",
-                               [&](benchmark::State& st) {
-    for (auto _ : st) {
-      auto v = time_virtual_child(RepKind::kMorton, items, 1);
-      benchmark::DoNotOptimize(v);
-    }
-  });
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

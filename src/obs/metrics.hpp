@@ -6,8 +6,7 @@
 /// costs one relaxed atomic load and a predictable branch; an enabled one
 /// costs one relaxed fetch_add on a thread-sharded, cacheline-padded cell,
 /// so hot loops (chunk workers, mailbox pushes) can keep their counters
-/// inline. Shards are merged only at snapshot time, following the same
-/// merge-at-the-end pattern as RunningStats::merge in util/stats.hpp.
+/// inline. Shards are merged only at snapshot time.
 ///
 /// Naming convention: `layer.component.event`, e.g.
 /// `forest.refine.waves`, `par.msg.send_bytes`, `io.exchange.rounds`.

@@ -2,14 +2,6 @@
 
 namespace qforest::par {
 
-std::vector<int> paper_task_counts(int max_tasks) {
-  std::vector<int> counts;
-  for (int t = 2; t <= max_tasks; t *= 2) {
-    counts.push_back(t);
-  }
-  return counts;
-}
-
 std::vector<int> shard_rank_counts(int max_ranks) {
   std::vector<int> counts;
   for (int t = 8; t <= max_ranks; t *= 2) {

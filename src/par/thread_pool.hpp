@@ -2,10 +2,8 @@
 /// \file thread_pool.hpp
 /// \brief Small fixed-size worker pool for data-parallel loops.
 ///
-/// Used by the examples and by the strong-scaling driver when the machine
-/// offers more than one hardware thread; all benchmark *measurements* use
-/// serial per-task timing (see strong_scaling.hpp) so results do not depend
-/// on the container's core count.
+/// The forest runs its tree x chunk loops on one process-wide instance
+/// (detail::forest_pool() in forest/forest.hpp).
 
 #include <cstddef>
 #include <functional>

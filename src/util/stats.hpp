@@ -1,65 +1,19 @@
 #pragma once
 /// \file stats.hpp
-/// \brief Streaming and batch statistics for benchmark measurements.
-
-#include <cstddef>
-#include <vector>
+/// \brief The paper's speedup convention for benchmark tables.
 
 namespace qforest {
-
-/// Welford-style streaming accumulator: mean/variance/min/max in O(1) space.
-class RunningStats {
- public:
-  /// Insert one sample.
-  void add(double x);
-
-  /// Number of samples inserted so far.
-  [[nodiscard]] std::size_t count() const { return n_; }
-  /// Arithmetic mean; 0 when empty.
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  /// Unbiased sample variance; 0 with fewer than two samples.
-  [[nodiscard]] double variance() const;
-  /// Square root of variance().
-  [[nodiscard]] double stddev() const;
-  /// Smallest sample; +inf when empty.
-  [[nodiscard]] double min() const { return min_; }
-  /// Largest sample; -inf when empty.
-  [[nodiscard]] double max() const { return max_; }
-  /// Sum of all samples.
-  [[nodiscard]] double sum() const { return sum_; }
-
-  /// Merge another accumulator into this one (parallel reduction).
-  void merge(const RunningStats& other);
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = 1.0e300;
-  double max_ = -1.0e300;
-};
-
-/// Batch summary of a sample vector used by the figure harnesses.
-struct SampleSummary {
-  double mean = 0.0;
-  double median = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  std::size_t count = 0;
-};
-
-/// Compute a SampleSummary; the input is copied, not reordered.
-SampleSummary summarize(const std::vector<double>& samples);
-
-/// Percentile in [0,100] by linear interpolation; input copied.
-double percentile(const std::vector<double>& samples, double p);
 
 /// Relative speedup of \p candidate over \p baseline in percent, i.e.
 /// 100 * (baseline - candidate) / candidate, matching the paper's
 /// "X% average performance boost" phrasing (how much more work per second
 /// the candidate does than the baseline).
-double speedup_percent(double baseline_seconds, double candidate_seconds);
+inline double speedup_percent(double baseline_seconds,
+                              double candidate_seconds) {
+  if (candidate_seconds <= 0.0) {
+    return 0.0;
+  }
+  return 100.0 * (baseline_seconds - candidate_seconds) / candidate_seconds;
+}
 
 }  // namespace qforest

@@ -25,23 +25,6 @@ std::string Table::fmt(long long value) {
   return buf;
 }
 
-std::string Table::fmt_bytes(unsigned long long bytes) {
-  static constexpr const char* units[] = {"B", "KiB", "MiB", "GiB", "TiB"};
-  double v = static_cast<double>(bytes);
-  int u = 0;
-  while (v >= 1024.0 && u < 4) {
-    v /= 1024.0;
-    ++u;
-  }
-  char buf[48];
-  if (u == 0) {
-    std::snprintf(buf, sizeof buf, "%llu B", bytes);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.2f %s", v, units[u]);
-  }
-  return buf;
-}
-
 std::string Table::to_string() const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {

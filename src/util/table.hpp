@@ -2,9 +2,8 @@
 /// \file table.hpp
 /// \brief ASCII table printer for benchmark and experiment output.
 ///
-/// The figure harnesses print the same series the paper plots (runtime vs.
-/// task count per representation); this helper renders them as aligned
-/// monospace tables that are easy to diff and to paste into EXPERIMENTS.md.
+/// Renders bench and example results as aligned monospace tables that are
+/// easy to diff.
 
 #include <cstdio>
 #include <string>
@@ -25,8 +24,6 @@ class Table {
   static std::string fmt(double value, int precision = 4);
   /// Convenience: format an integer.
   static std::string fmt(long long value);
-  /// Convenience: format bytes with a binary-unit suffix (KiB/MiB/GiB).
-  static std::string fmt_bytes(unsigned long long bytes);
 
   /// Render to a string with a separator under the header.
   [[nodiscard]] std::string to_string() const;

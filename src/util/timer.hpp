@@ -1,16 +1,15 @@
 #pragma once
 /// \file timer.hpp
-/// \brief Wall-clock and CPU timers used by the benchmark harness.
+/// \brief Wall-clock stopwatch for benchmark timings.
 
 #include <chrono>
 #include <cstdint>
-#include <string>
 
 namespace qforest {
 
 /// High-resolution wall-clock stopwatch.
 ///
-/// Typical use in the figure harnesses:
+/// Typical use in the benches:
 /// \code
 ///   WallTimer t;
 ///   kernel_loop(...);
@@ -38,29 +37,6 @@ class WallTimer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Per-thread CPU time in seconds (CLOCK_THREAD_CPUTIME_ID).
-///
-/// The simulated strong-scaling driver measures each task's work with CPU
-/// time so that results are stable even when the container is oversubscribed.
-double thread_cpu_time_s();
-
-/// Process CPU time in seconds (CLOCK_PROCESS_CPUTIME_ID).
-double process_cpu_time_s();
-
-/// RAII timer that logs its scope's duration at debug level on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string label);
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  std::string label_;
-  WallTimer timer_;
 };
 
 }  // namespace qforest

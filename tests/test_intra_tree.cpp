@@ -2,9 +2,9 @@
 /// \brief Intra-tree (chunk-level) scheduling of refine / coarsen /
 /// balance: equivalence of the chunked paths against the serial path at
 /// adversarial chunk grains (1, 2, 7 — every chunk boundary lands inside
-/// families and sibling runs), deterministic exception propagation out of
-/// parallel adaptation callbacks, and structural consistency of the
-/// forest after a rethrow.
+/// families and sibling runs) under both kernel settings, deterministic
+/// exception propagation out of parallel adaptation callbacks, and
+/// structural consistency of the forest after a rethrow.
 
 #include <atomic>
 #include <cstddef>
@@ -125,16 +125,26 @@ template <class R>
 
 TYPED_TEST(IntraTreeT, TinyChunkGrainsMatchSerialPath) {
   using R = TypeParam;
+  const auto pipeline = [](bool kernels) {
+    const test::BatchFlagGuard flag(kernels);
+    return run_pipeline<R>();
+  };
   set_tree_parallelism(false);  // disables both levels: reference path
-  const Forest<R> reference = run_pipeline<R>();
+  const Forest<R> reference = pipeline(true);
   ASSERT_TRUE(reference.is_valid());
+  // The generic kernel loops must give the batch kernels' leaves, on the
+  // serial path and at every grain.
+  EXPECT_TRUE(same_forest(reference, pipeline(false))) << "kernels off";
   set_tree_parallelism(true);
-  for (const std::size_t grain : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{7}}) {
-    set_chunk_grain(grain);
-    const Forest<R> chunked = run_pipeline<R>();
-    EXPECT_TRUE(chunked.is_valid()) << "grain " << grain;
-    EXPECT_TRUE(same_forest(reference, chunked)) << "grain " << grain;
+  for (const bool kernels : {true, false}) {
+    for (const std::size_t grain : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{7}}) {
+      set_chunk_grain(grain);
+      const Forest<R> chunked = pipeline(kernels);
+      EXPECT_TRUE(chunked.is_valid()) << "grain " << grain;
+      EXPECT_TRUE(same_forest(reference, chunked))
+          << "kernels " << (kernels ? "on" : "off") << ", grain " << grain;
+    }
   }
 }
 

@@ -6,8 +6,8 @@ BENCH_*.json files against the committed baseline and fails (exit 1) when
 any matched record regresses by more than --threshold percentage points:
 
     check_bench_regression.py --baseline bench/baselines/ci_baseline.json \
-        --threshold 20 build/bench/BENCH_forest.json \
-        build/bench/BENCH_balance_mark.json
+        --threshold 20 build/bench/BENCH_ablation.json \
+        build/bench/BENCH_strong_scaling.json
 
 Records are matched on (bench, rep, phase). Only records whose current
 run reports simd_active=true OR gate=true are gated: the non-SIMD
