@@ -7,7 +7,8 @@
 /// (workload.hpp): uniform L3 -> refine the band to depth D -> 2:1
 /// balance -> [mark-only balance] -> [partition + read paths] ->
 /// [coarsen]. A variant runs it once per *side*; the sides differ only in
-/// what they switch:
+/// what they switch. The read-path variant (ghost) builds its balanced mesh
+/// once per representation and times only the reads on it.
 ///
 ///   bench         mesh                 sides (reference first)
 ///   forest_batch  unit tree            kernels off + oracle balance |
@@ -30,7 +31,8 @@
 /// Knobs: QFOREST_BENCH_DEPTH (refine depth D, default 8) and
 /// QFOREST_BENCH_SWEEPS (best-of repetitions, default 3). Results land on
 /// stdout and in BENCH_ablation.json, one record per (bench, rep, phase)
-/// and mesh shape.
+/// and mesh shape, with every side's seconds, every other side's speedup
+/// over the reference and the leaf count after the phase.
 
 #include <algorithm>
 #include <array>
@@ -193,7 +195,8 @@ bool same_mesh(const Mesh<R>& a, const Mesh<R>& b) {
 template <class R>
 struct Outcome {
   std::array<double, kNumPhases> seconds{};
-  gidx_t leaves = 0;  ///< after balance
+  gidx_t leaves = 0;            ///< after balance
+  gidx_t leaves_coarsened = 0;  ///< after coarsen
   Mesh<R> balanced;
   Mesh<R> final_mesh;
   std::vector<std::vector<gidx_t>> ghost;  ///< per rank, global indices
@@ -233,13 +236,99 @@ void select(Scheduler s, std::size_t grain) {
   set_chunk_grain(s == Scheduler::kPerTree ? SIZE_MAX : grain);
 }
 
-/// Run the workflow \p cfg.sweeps times under \p side, keeping each
-/// phase's best time.
+/// Uniform L3 on the variant's connectivity, refined to the sphere band.
 template <class R>
-Outcome<R> run_side(const Variant& v, const Side& side, const Config& cfg) {
+Forest<R> refined(const Variant& v, int depth, const auto& timed) {
+  auto f = Forest<R>::new_uniform(v.brick ? Connectivity::brick3d(2, 2, 1)
+                                          : Connectivity::unit(3),
+                                  kBaseLevel, v.ranks);
+  timed(kRefine, [&] {
+    f.refine(true, [&](tree_id_t, const typename R::quad_t& q) {
+      return R::level(q) < depth && near_sphere<R>(q);
+    });
+  });
+  return f;
+}
+
+/// The read-path variants' mesh: refined, balanced by the library and
+/// partitioned over the variant's ranks.
+template <class R>
+Forest<R> read_mesh(const Variant& v, const Config& cfg) {
+  batch::set_enabled(true);
+  select(Scheduler::kChunked, cfg.grain);
+  auto f = refined<R>(v, cfg.depth + v.depth_offset,
+                      [](Phase, auto&& step) { step(); });
+  f.balance(BalanceKind::kFull);
+  f.partition();
+  return f;
+}
+
+/// Time ghost_layer for every rank, iterate_faces and search_points on
+/// \p f under \p side; keep their results in \p out when \p last.
+template <class R>
+void run_reads(const Forest<R>& f, const Side& side, bool last,
+               const auto& timed, Outcome<R>& out) {
+  const auto pts =
+      make_points(f.num_trees(), static_cast<std::size_t>(f.num_quadrants()));
+  std::vector<std::vector<gidx_t>> ghost;
+  timed(kGhost, [&] {
+    for (int r = 0; r < f.num_ranks(); ++r) {
+      const auto layer =
+          side.oracle_reads ? oracle::ghost_layer(f, r) : f.ghost_layer(r);
+      std::vector<gidx_t> g;
+      g.reserve(layer.entries.size());
+      for (const auto& e : layer.entries) {
+        g.push_back(e.global_index);
+      }
+      ghost.push_back(std::move(g));
+    }
+  });
+  std::atomic<std::uint64_t> fingerprint{0};
+  std::atomic<gidx_t> faces{0};
+  const auto count_face = [&](const FaceInfo<R>& info) {
+    // Order-independent: the library runs the callback concurrently, and
+    // addition commutes.
+    const std::uint64_t a =
+        info.is_boundary ? ~std::uint64_t{0}
+                         : static_cast<std::uint64_t>(
+                               f.global_index(info.tree[1], info.leaf_index[1]));
+    const std::uint64_t h =
+        mix(static_cast<std::uint64_t>(
+                f.global_index(info.tree[0], info.leaf_index[0])) *
+                6 +
+            static_cast<std::uint64_t>(info.face[0])) ^
+        mix(a + (info.is_hanging ? 0x9e3779b97f4a7c15ULL : 0));
+    fingerprint.fetch_add(h, std::memory_order_relaxed);
+    faces.fetch_add(1, std::memory_order_relaxed);
+  };
+  timed(kIterateFaces, [&] {
+    if (side.oracle_reads) {
+      oracle::iterate_faces(f, count_face);
+    } else {
+      f.iterate_faces(count_face);
+    }
+  });
+  std::vector<gidx_t> points;
+  timed(kSearchPoints, [&] {
+    points = side.oracle_reads ? oracle::search_points(f, pts)
+                               : f.search_points(pts);
+  });
+  if (last) {
+    out.ghost = std::move(ghost);
+    out.face_fingerprint = fingerprint.load();
+    out.faces = faces.load();
+    out.points = std::move(points);
+  }
+}
+
+/// Run the workflow \p cfg.sweeps times under \p side, keeping each
+/// phase's best time. With \p shared (the read-path variants) the sweeps
+/// time only the reads on that mesh.
+template <class R>
+Outcome<R> run_side(const Variant& v, const Side& side, const Config& cfg,
+                    const Forest<R>* shared = nullptr) {
   batch::set_enabled(side.kernels);
   select(side.scheduler, cfg.grain);
-  const int depth = cfg.depth + v.depth_offset;
   const auto balance = [&side](Forest<R>& f) {
     if (side.oracle_balance) {
       oracle::balance(f, BalanceKind::kFull);
@@ -249,6 +338,10 @@ Outcome<R> run_side(const Variant& v, const Side& side, const Config& cfg) {
   };
 
   Outcome<R> out;
+  if (shared != nullptr) {
+    out.leaves = out.leaves_coarsened = shared->num_quadrants();
+    out.balanced = out.final_mesh = snapshot(*shared);
+  }
   for (int sweep = 0; sweep < cfg.sweeps; ++sweep) {
     const bool last = sweep == cfg.sweeps - 1;
     const auto timed = [&](Phase p, auto&& step) {
@@ -257,15 +350,12 @@ Outcome<R> run_side(const Variant& v, const Side& side, const Config& cfg) {
       const double s = t.elapsed_s();
       out.seconds[p] = sweep == 0 ? s : std::min(out.seconds[p], s);
     };
+    if (shared != nullptr) {
+      run_reads(*shared, side, last, timed, out);
+      continue;
+    }
 
-    auto f = Forest<R>::new_uniform(v.brick ? Connectivity::brick3d(2, 2, 1)
-                                            : Connectivity::unit(3),
-                                    kBaseLevel, v.ranks);
-    timed(kRefine, [&] {
-      f.refine(true, [&](tree_id_t, const typename R::quad_t& q) {
-        return R::level(q) < depth && near_sphere<R>(q);
-      });
-    });
+    auto f = refined<R>(v, cfg.depth + v.depth_offset, timed);
     timed(kBalance, [&] { balance(f); });
     if (v.has(kMarkOnly)) {
       timed(kMarkOnly, [&] { balance(f); });
@@ -274,63 +364,6 @@ Outcome<R> run_side(const Variant& v, const Side& side, const Config& cfg) {
     if (last) {
       out.balanced = snapshot(f);
     }
-
-    if (v.has(kGhost)) {
-      f.partition();
-      const auto pts = make_points(
-          f.num_trees(), static_cast<std::size_t>(f.num_quadrants()));
-      std::vector<std::vector<gidx_t>> ghost;
-      timed(kGhost, [&] {
-        for (int r = 0; r < f.num_ranks(); ++r) {
-          const auto layer = side.oracle_reads ? oracle::ghost_layer(f, r)
-                                               : f.ghost_layer(r);
-          std::vector<gidx_t> g;
-          g.reserve(layer.entries.size());
-          for (const auto& e : layer.entries) {
-            g.push_back(e.global_index);
-          }
-          ghost.push_back(std::move(g));
-        }
-      });
-      std::atomic<std::uint64_t> fingerprint{0};
-      std::atomic<gidx_t> faces{0};
-      const auto count_face = [&](const FaceInfo<R>& info) {
-        // Order-independent: the library runs the callback concurrently,
-        // and addition commutes.
-        const std::uint64_t a =
-            info.is_boundary
-                ? ~std::uint64_t{0}
-                : static_cast<std::uint64_t>(
-                      f.global_index(info.tree[1], info.leaf_index[1]));
-        const std::uint64_t h =
-            mix(static_cast<std::uint64_t>(
-                    f.global_index(info.tree[0], info.leaf_index[0])) *
-                    6 +
-                static_cast<std::uint64_t>(info.face[0])) ^
-            mix(a + (info.is_hanging ? 0x9e3779b97f4a7c15ULL : 0));
-        fingerprint.fetch_add(h, std::memory_order_relaxed);
-        faces.fetch_add(1, std::memory_order_relaxed);
-      };
-      timed(kIterateFaces, [&] {
-        if (side.oracle_reads) {
-          oracle::iterate_faces(f, count_face);
-        } else {
-          f.iterate_faces(count_face);
-        }
-      });
-      std::vector<gidx_t> points;
-      timed(kSearchPoints, [&] {
-        points = side.oracle_reads ? oracle::search_points(f, pts)
-                                   : f.search_points(pts);
-      });
-      if (last) {
-        out.ghost = std::move(ghost);
-        out.face_fingerprint = fingerprint.load();
-        out.faces = faces.load();
-        out.points = std::move(points);
-      }
-    }
-
     if (v.has(kCoarsen)) {
       timed(kCoarsen, [&] {
         f.coarsen(true, [&](tree_id_t, const typename R::quad_t* fam) {
@@ -338,6 +371,7 @@ Outcome<R> run_side(const Variant& v, const Side& side, const Config& cfg) {
         });
       });
     }
+    out.leaves_coarsened = f.num_quadrants();
     if (last) {
       out.final_mesh = snapshot(f);
     }
@@ -366,8 +400,12 @@ const char* mismatch(const Outcome<R>& ref, const Outcome<R>& got) {
   return nullptr;
 }
 
+double speedup(double ref_s, double new_s) {
+  return new_s > 0 ? ref_s / new_s : 0.0;
+}
+
 double pct(double ref_s, double new_s) {
-  return new_s > 0 ? (ref_s / new_s - 1.0) * 100.0 : 0.0;
+  return new_s > 0 ? (speedup(ref_s, new_s) - 1.0) * 100.0 : 0.0;
 }
 
 /// Run every side of \p v on representation \p R, check the results and
@@ -378,9 +416,13 @@ bool run_variant(const Variant& v, const Config& cfg, Table& table,
   if (v.morton_only && !std::is_same_v<R, MortonRep<3>>) {
     return true;
   }
+  std::optional<Forest<R>> shared;
+  if (v.has(kGhost)) {
+    shared = read_mesh<R>(v, cfg);
+  }
   std::vector<Outcome<R>> runs;
   for (const Side& side : v.sides) {
-    runs.push_back(run_side<R>(v, side, cfg));
+    runs.push_back(run_side<R>(v, side, cfg, shared ? &*shared : nullptr));
   }
   bool ok = true;
   for (std::size_t s = 1; s < runs.size(); ++s) {
@@ -401,16 +443,22 @@ bool run_variant(const Variant& v, const Config& cfg, Table& table,
     json.field("phase", kPhaseName[p]);
     json.field("shape", v.shape());
     for (std::size_t s = 0; s < runs.size(); ++s) {
+      const std::string side = v.sides[s].name;
       row.push_back(Table::fmt(runs[s].seconds[p], 4));
-      json.field((std::string(v.sides[s].name) + "_seconds").c_str(),
-                 runs[s].seconds[p]);
+      json.field((side + "_seconds").c_str(), runs[s].seconds[p]);
+      if (s > 0) {
+        json.field((side + "_speedup").c_str(),
+                   speedup(runs[0].seconds[p], runs[s].seconds[p]));
+      }
     }
     const double boost = pct(runs[0].seconds[p], runs[1].seconds[p]);
+    const auto after = static_cast<long long>(
+        p == kCoarsen ? runs[0].leaves_coarsened : leaves);
     row.push_back(Table::fmt(boost, 1));
-    row.push_back(Table::fmt(static_cast<long long>(leaves)));
+    row.push_back(Table::fmt(after));
     table.add_row(std::move(row));
     json.field("boost_percent", boost);
-    json.field("leaves", static_cast<long long>(leaves));
+    json.field("leaves", after);
     json.field("workers", static_cast<long long>(cfg.workers));
     json.field("simd_active", BatchOps<R>::simd_active());
   }
@@ -419,10 +467,8 @@ bool run_variant(const Variant& v, const Config& cfg, Table& table,
     return ok;
   }
   const Floor& fl = *v.floor;
-  const double speedup =
-      runs[1].seconds[fl.phase] > 0
-          ? runs[0].seconds[fl.phase] / runs[1].seconds[fl.phase]
-          : 0.0;
+  const double got =
+      speedup(runs[0].seconds[fl.phase], runs[1].seconds[fl.phase]);
   const bool enforced =
       leaves >= fl.min_leaves &&
       (!fl.needs_simd || BatchOps<R>::simd_active()) &&
@@ -431,18 +477,18 @@ bool run_variant(const Variant& v, const Config& cfg, Table& table,
     std::printf("note: %s %s %s floor (%.1fx) not enforced: %.2fx at %lld "
                 "leaves\n",
                 v.bench, R::name, kPhaseName[fl.phase], fl.min_speedup,
-                speedup, static_cast<long long>(leaves));
-  } else if (speedup < fl.min_speedup) {
+                got, static_cast<long long>(leaves));
+  } else if (got < fl.min_speedup) {
     std::fprintf(stderr,
                  "FAIL: %s %s (%s) %s: %s is %.2fx %s, below the %.1fx "
                  "floor at %lld leaves\n",
                  v.bench, R::name, v.shape(), kPhaseName[fl.phase],
-                 v.sides[1].name, speedup, v.sides[0].name, fl.min_speedup,
+                 v.sides[1].name, got, v.sides[0].name, fl.min_speedup,
                  static_cast<long long>(leaves));
     ok = false;
   } else {
     std::printf("floor: %s %s %s %.2fx >= %.1fx\n", v.bench, R::name,
-                kPhaseName[fl.phase], speedup, fl.min_speedup);
+                kPhaseName[fl.phase], got, fl.min_speedup);
   }
   return ok;
 }

@@ -5,59 +5,26 @@
 
 namespace qforest {
 
-void RunningStats::add(double x) {
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) {
-    return;
-  }
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double nab = na + nb;
-  m2_ += other.m2_ + delta * delta * na * nb / nab;
-  mean_ += delta * nb / nab;
-  sum_ += other.sum_;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 SampleSummary summarize(const std::vector<double>& samples) {
   SampleSummary s;
   s.count = samples.size();
   if (samples.empty()) {
     return s;
   }
-  RunningStats rs;
+  double sum = 0.0;
   for (double x : samples) {
-    rs.add(x);
+    sum += x;
   }
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  s.min = rs.min();
-  s.max = rs.max();
+  s.mean = sum / static_cast<double>(s.count);
+  double m2 = 0.0;
+  for (double x : samples) {
+    m2 += (x - s.mean) * (x - s.mean);
+  }
+  s.stddev =
+      s.count < 2 ? 0.0 : std::sqrt(m2 / static_cast<double>(s.count - 1));
+  const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+  s.min = *lo;
+  s.max = *hi;
   s.median = percentile(samples, 50.0);
   return s;
 }

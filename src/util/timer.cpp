@@ -7,19 +7,11 @@
 
 namespace qforest {
 
-namespace {
-double clock_gettime_s(clockid_t id) {
+double process_cpu_time_s() {
   timespec ts{};
-  ::clock_gettime(id, &ts);
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) +
          1.0e-9 * static_cast<double>(ts.tv_nsec);
-}
-}  // namespace
-
-double thread_cpu_time_s() { return clock_gettime_s(CLOCK_THREAD_CPUTIME_ID); }
-
-double process_cpu_time_s() {
-  return clock_gettime_s(CLOCK_PROCESS_CPUTIME_ID);
 }
 
 ScopedTimer::ScopedTimer(std::string label) : label_(std::move(label)) {}
