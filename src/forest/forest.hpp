@@ -30,7 +30,11 @@
 /// offsets and one Morton-cell index per tree (MarkGrid). Every operation
 /// that changes leaves ends in reindex(), which rebuilds both; the const
 /// read paths only borrow them, so a mesh that is read many times between
-/// changes is indexed once.
+/// changes is indexed once. The rank adjacency (every rank's ghosts and
+/// mirrors) is built lazily, by one sweep over all leaves on the first
+/// ghost_layer / mirrors / rank_work_split after a change of the mesh or
+/// of the partition; reindex() and every repartition drop it, and a copy
+/// of the forest starts without it.
 ///
 /// Scheduling is two-level: the per-tree outer loops of the adaptation
 /// algorithms run on the shared forest thread pool (level 1), and within
@@ -60,7 +64,9 @@
 #include <cstdlib>
 #include <exception>
 #include <iterator>
+#include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -212,6 +218,54 @@ class RegionErrors {
   std::exception_ptr error_ QF_GUARDED_BY(mutex_);
   std::size_t error_begin_ QF_GUARDED_BY(mutex_) = 0;
   std::size_t suppressed_ QF_GUARDED_BY(mutex_) = 0;
+};
+
+/// A derived index filled on its first read and dropped by the owner's
+/// writes (reset). Const reads may race on the fill: each cold reader
+/// builds, the first to publish wins and the others drop theirs (the
+/// index is a pure function of the owner's state), so no lock is held
+/// while a build runs on the forest pool. A reference returned by get()
+/// stays valid until the next reset. Copies and moves start empty.
+template <class T>
+class LazyIndex {
+ public:
+  LazyIndex() = default;
+  LazyIndex(const LazyIndex& /*other*/) {}
+  LazyIndex(LazyIndex&& /*other*/) noexcept {}
+  LazyIndex& operator=(const LazyIndex& /*other*/) {
+    reset();
+    return *this;
+  }
+  LazyIndex& operator=(LazyIndex&& /*other*/) noexcept {
+    reset();
+    return *this;
+  }
+  ~LazyIndex() = default;
+
+  template <class Build>
+  const T& get(Build&& build) const {
+    {
+      const LockGuard lock(index_mutex_);
+      if (value_) {
+        return *value_;
+      }
+    }
+    auto built = std::make_unique<const T>(build());
+    const LockGuard lock(index_mutex_);
+    if (!value_) {
+      value_ = std::move(built);
+    }
+    return *value_;
+  }
+
+  void reset() {
+    const LockGuard lock(index_mutex_);
+    value_.reset();
+  }
+
+ private:
+  mutable Mutex index_mutex_;
+  mutable std::unique_ptr<const T> value_ QF_GUARDED_BY(index_mutex_);
 };
 }  // namespace detail
 
@@ -578,6 +632,7 @@ class Forest {
       }
     }
     const std::int64_t total = prefix.back();
+    adjacency_.reset();
     rank_offsets_.assign(static_cast<std::size_t>(p) + 1, 0);
     for (int r = 1; r < p; ++r) {
       // First quadrant whose preceding cumulative weight reaches r/p of
@@ -602,6 +657,7 @@ class Forest {
 
   /// Uniform repartition (weight 1 per leaf).
   void partition() {
+    adjacency_.reset();
     rank_offsets_ = comm_.block_distribution(num_quadrants());
   }
 
@@ -617,18 +673,14 @@ class Forest {
 
   /// Remote leaves adjacent (faces, edges and corners) to \p rank's own.
   ///
-  /// One neighbor_sweep over the rank's leaf range — the same sweep as
-  /// the balance mark phase: the rank's leaves are staged into
-  /// level-uniform spans per leaf chunk, every neighbor key is produced in
-  /// bulk through BatchOps<R>::neighbor_at_offset_n, keys staying in their
-  /// source tree resolve against the forest's per-tree Morton-cell grid
-  /// (MarkGrid) and keys crossing a tree face are bucketed per target tree
-  /// and resolved with one sort + sorted-merge sweep. Trees and leaf
-  /// chunks run in parallel on the forest pool.
+  /// A slice of the rank adjacency (build_adjacency): one neighbor_sweep
+  /// over every leaf — the same sweep as the balance mark phase — made on
+  /// the first read after the mesh or the partition changed and shared by
+  /// every rank's ghost_layer, mirrors and rank_work_split until the next
+  /// change.
   [[nodiscard]] GhostLayer<R> ghost_layer(int rank) const {
+    const std::span<const gidx_t> seen = adjacency().ghosts.of(rank);
     GhostLayer<R> ghost;
-    const auto [first, last] = rank_range(rank);
-    const std::vector<gidx_t> seen = adjacency_scan(first, last, false);
     ghost.entries.reserve(seen.size());
     for (gidx_t g : seen) {
       const auto [t, i] = locate(g);
@@ -639,15 +691,12 @@ class Forest {
   }
 
   /// Mirror leaves of \p rank: the rank's own leaves that appear in some
-  /// other rank's ghost layer (the data it must send in an exchange).
-  /// Returned as sorted global indices. One pass over the rank's own
-  /// leaves: the touch relation underlying the ghost layer is symmetric,
-  /// so "appears in some other rank's ghost layer" equals "touches at
-  /// least one leaf outside the rank's range" — no per-rank ghost_layer
-  /// recomputation (the old O(ranks x ghost-scan) shape).
+  /// other rank's ghost layer (the data it must send in an exchange), as
+  /// sorted global indices. A slice of the rank adjacency, like
+  /// ghost_layer.
   [[nodiscard]] std::vector<gidx_t> mirrors(int rank) const {
-    const auto [first, last] = rank_range(rank);
-    return adjacency_scan(first, last, true);
+    const std::span<const gidx_t> own = adjacency().mirrors.of(rank);
+    return {own.begin(), own.end()};
   }
 
   /// Boundary-first/interior-second split of \p rank's leaves for
@@ -1661,10 +1710,12 @@ class Forest {
   }
 
   /// Rebuild the indexes derived from the leaf arrays: the tree offsets
-  /// and the MarkGrid of every tree in \p changed (every tree when null).
-  /// Every operation that changes leaves ends here, on its exception path
-  /// too, so the const read paths borrow both without a check.
+  /// and the MarkGrid of every tree in \p changed (every tree when null),
+  /// and drop the rank adjacency. Every operation that changes leaves ends
+  /// here, on its exception path too, so the const read paths borrow the
+  /// offsets and grids without a check.
   void reindex(const std::vector<std::size_t>* changed = nullptr) {
+    adjacency_.reset();
     tree_offsets_.assign(trees_.size() + 1, 0);
     for (std::size_t t = 0; t < trees_.size(); ++t) {
       tree_offsets_[t + 1] =
@@ -1911,17 +1962,25 @@ class Forest {
     std::vector<RemoteKey<Payload>> keys;
   };
 
+  /// Append \p parts to \p out, releasing each part once copied, so the
+  /// peak holds the result plus one part.
   static void append_parts(std::vector<gidx_t>& out,
-                           const std::vector<std::vector<gidx_t>>& parts) {
+                           std::vector<std::vector<gidx_t>>& parts) {
+    std::size_t total = out.size();
     for (const auto& part : parts) {
+      total += part.size();
+    }
+    out.reserve(total);
+    for (auto& part : parts) {
       out.insert(out.end(), part.begin(), part.end());
+      std::vector<gidx_t>().swap(part);
     }
   }
 
   /// The one neighbor-key sweep behind the balance mark phase, the
   /// ghost/mirror scan and face iteration. For every leaf of level >=
   /// \p min_level in the sorted, disjoint global ranges \p sources (one
-  /// range for a rank or the whole forest; a balance frontier passes many)
+  /// range for the whole forest; a balance frontier passes many)
   /// and every displacement of \p offsets it produces the same-level
   /// neighbor key and resolves it to j, the index of the last leaf <= key
   /// in the key's tree (-1: none) — the key's enclosing leaf when it has
@@ -2212,30 +2271,71 @@ class Forest {
     return next;
   }
 
-  /// Shared core of ghost_layer and mirrors: scan the leaves of the
-  /// global range [first, last) against every kFull neighbor offset and
-  /// return, sorted and deduplicated, either every out-of-range leaf
-  /// touched (\p sources false — the ghost layer) or every in-range leaf
-  /// touching at least one out-of-range leaf (\p sources true — the
-  /// mirrors; the touch relation is symmetric, so one pass over the own
-  /// leaves replaces recomputing every other rank's ghost layer). A key
-  /// touches its enclosing leaf, or else those of its finer descendants
-  /// that touch the source leaf.
-  [[nodiscard]] std::vector<gidx_t> adjacency_scan(gidx_t first, gidx_t last,
-                                                   bool sources) const {
+  /// Per-rank lists of global leaf indices in one flat array: rank r's
+  /// list is items[offsets[r], offsets[r + 1]), sorted.
+  struct RankLists {
+    std::vector<gidx_t> items;
+    std::vector<std::size_t> offsets;  ///< size num_ranks()+1
+
+    [[nodiscard]] std::span<const gidx_t> of(int rank) const {
+      const auto r = static_cast<std::size_t>(rank);
+      return std::span<const gidx_t>(items).subspan(
+          offsets[r], offsets[r + 1] - offsets[r]);
+    }
+  };
+
+  /// Every rank's ghost layer and mirrors, derived from the leaves and the
+  /// partition.
+  struct RankAdjacency {
+    RankLists ghosts;
+    RankLists mirrors;
+  };
+
+  /// The rank adjacency of the current mesh and partition, built on the
+  /// first read after either changed.
+  const RankAdjacency& adjacency() const {
+    return adjacency_.get([this] { return build_adjacency(); });
+  }
+
+  /// The rank adjacency from one neighbor_sweep over every leaf with the
+  /// kFull offsets. A key touches its enclosing leaf, or else those of its
+  /// finer descendants that touch the source leaf. When source s touches
+  /// leaf t of another rank, t is a ghost of owner(s) and s a mirror of
+  /// it; every leaf is a source, so each touching pair is seen from both
+  /// sides. Mirrors are marked in a per-leaf byte map; the sweep pushes
+  /// only the ghost hits, each as the two entries (owner(s), t), and a
+  /// counting pass by rank lays them out flat.
+  [[nodiscard]] RankAdjacency build_adjacency() const {
     obs::TraceSpan span("forest", "adjacency_scan");
-    span.arg("range", static_cast<std::int64_t>(last - first));
+    static obs::Counter& c_builds = obs::counter("forest.adjacency.builds");
+    c_builds.add(1);
+    const gidx_t n = num_quadrants();
+    span.arg("range", static_cast<std::int64_t>(n));
     const auto offsets = neighbor_offsets(BalanceKind::kFull);
-    std::vector<gidx_t> seen = neighbor_sweep<SweepSource>(
-        {{first, last}}, offsets, 0,
+    std::vector<std::uint8_t> mirror(static_cast<std::size_t>(n), 0);
+    const std::vector<gidx_t> hits = neighbor_sweep<SweepSource>(
+        {{0, n}}, offsets, 0,
         [&](std::vector<gidx_t>& out, std::size_t ti, std::ptrdiff_t j,
             const quad_t& key, const SweepSource& from) {
+          const gidx_t s = global_index(from.tree, from.leaf);
+          const int rank = owner_rank(s);
+          const auto [first, last] = rank_range(rank);
           const auto& tree = trees_[ti];
           const auto emit = [&](std::size_t leaf) {
-            const gidx_t lg = global_index(static_cast<tree_id_t>(ti), leaf);
-            if (lg < first || lg >= last) {
-              out.push_back(sources ? global_index(from.tree, from.leaf)
-                                    : lg);
+            const gidx_t t = global_index(static_cast<tree_id_t>(ti), leaf);
+            if (t >= first && t < last) {
+              return;
+            }
+            // mo: relaxed — idempotent mark byte (the targets of one
+            // source's keys may mark it concurrently); read after the join.
+            std::atomic_ref<std::uint8_t>(mirror[static_cast<std::size_t>(s)])
+                .store(1, std::memory_order_relaxed);
+            // Neighboring sources often hit the same coarser leaf: drop
+            // the repeat of the pair just pushed.
+            const std::size_t m = out.size();
+            if (m < 2 || out[m - 2] != rank || out[m - 1] != t) {
+              out.push_back(rank);
+              out.push_back(t);
             }
           };
           if (j >= 0 && encloses(tree[static_cast<std::size_t>(j)], key)) {
@@ -2260,9 +2360,53 @@ class Forest {
           }
         },
         [](std::vector<gidx_t>&, const SweepSource&) {});
-    std::sort(seen.begin(), seen.end());
-    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-    return seen;
+
+    const std::size_t p = rank_offsets_.size() - 1;
+    RankAdjacency adj;
+    // Mirrors: the marked leaves in curve order, cut at the rank offsets.
+    adj.mirrors.offsets.assign(p + 1, 0);
+    for (std::size_t r = 0; r < p; ++r) {
+      for (gidx_t g = rank_offsets_[r]; g < rank_offsets_[r + 1]; ++g) {
+        if (mirror[static_cast<std::size_t>(g)] != 0) {
+          adj.mirrors.items.push_back(g);
+        }
+      }
+      adj.mirrors.offsets[r + 1] = adj.mirrors.items.size();
+    }
+    // Ghosts: the hits bucketed by rank (counting sort), then each rank's
+    // bucket sorted and deduplicated.
+    std::vector<std::size_t> start(p + 1, 0);
+    for (std::size_t k = 0; k < hits.size(); k += 2) {
+      ++start[static_cast<std::size_t>(hits[k]) + 1];
+    }
+    for (std::size_t r = 0; r < p; ++r) {
+      start[r + 1] += start[r];
+    }
+    std::vector<gidx_t> bucketed(hits.size() / 2);
+    {
+      std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
+      for (std::size_t k = 0; k < hits.size(); k += 2) {
+        bucketed[cursor[static_cast<std::size_t>(hits[k])]++] = hits[k + 1];
+      }
+    }
+    std::vector<std::size_t> unique_end(p);
+    parallel_over(p, [&](std::size_t r) {
+      const auto b = bucketed.begin() + static_cast<std::ptrdiff_t>(start[r]);
+      const auto e =
+          bucketed.begin() + static_cast<std::ptrdiff_t>(start[r + 1]);
+      std::sort(b, e);
+      unique_end[r] = static_cast<std::size_t>(std::unique(b, e) -
+                                               bucketed.begin());
+    });
+    adj.ghosts.offsets.assign(p + 1, 0);
+    for (std::size_t r = 0; r < p; ++r) {
+      adj.ghosts.items.insert(
+          adj.ghosts.items.end(),
+          bucketed.begin() + static_cast<std::ptrdiff_t>(start[r]),
+          bucketed.begin() + static_cast<std::ptrdiff_t>(unique_end[r]));
+      adj.ghosts.offsets[r + 1] = adj.ghosts.items.size();
+    }
+    return adj;
   }
 
   /// Whether two canonical domains touch (share at least a point); the
@@ -2359,6 +2503,7 @@ class Forest {
   std::vector<gidx_t> tree_offsets_;        ///< size num_trees()+1
   std::vector<MarkGrid> grids_;             ///< one per tree (reindex)
   std::vector<std::int64_t> rank_offsets_;  ///< size num_ranks()+1
+  detail::LazyIndex<RankAdjacency> adjacency_;  ///< reindex, partition
 };
 
 }  // namespace qforest

@@ -1,10 +1,9 @@
 #pragma once
 /// \file timer.hpp
-/// \brief Wall-clock and CPU timers for benchmark timings.
+/// \brief Wall-clock timer for benchmark timings.
 
 #include <chrono>
 #include <cstdint>
-#include <string>
 
 namespace qforest {
 
@@ -38,23 +37,6 @@ class WallTimer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Process CPU time in seconds (CLOCK_PROCESS_CPUTIME_ID).
-double process_cpu_time_s();
-
-/// RAII timer that logs its scope's duration at debug level on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string label);
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  std::string label_;
-  WallTimer timer_;
 };
 
 }  // namespace qforest

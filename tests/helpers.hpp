@@ -2,7 +2,7 @@
 /// \file helpers.hpp
 /// \brief Shared test utilities: random quadrant generation, the list of
 /// representation types under test, canonical-form matchers, and guards
-/// for the process-global kernel and chunk-grain switches.
+/// for the process-global kernel, chunk-grain and metrics switches.
 
 #include <algorithm>
 #include <cstddef>
@@ -19,6 +19,7 @@
 #include "core/quadrant_wide.hpp"
 #include "core/rep_traits.hpp"
 #include "forest/forest.hpp"
+#include "obs/metrics.hpp"
 #include "util/random.hpp"
 
 namespace qforest::test {
@@ -97,6 +98,15 @@ struct BatchFlagGuard {
   ~BatchFlagGuard() { batch::set_enabled(saved_); }
   BatchFlagGuard(const BatchFlagGuard&) = delete;
   BatchFlagGuard& operator=(const BatchFlagGuard&) = delete;
+  bool saved_;
+};
+
+/// Turns the metrics registry on for one scope (the tests read counters).
+struct MetricsOn {
+  MetricsOn() : saved_(obs::metrics_enabled()) { obs::set_metrics(true); }
+  ~MetricsOn() { obs::set_metrics(saved_); }
+  MetricsOn(const MetricsOn&) = delete;
+  MetricsOn& operator=(const MetricsOn&) = delete;
   bool saved_;
 };
 

@@ -26,15 +26,6 @@
 namespace qforest {
 namespace {
 
-/// Turns the metrics registry on for one scope (the tests read counters).
-struct MetricsOn {
-  MetricsOn() : saved_(obs::metrics_enabled()) { obs::set_metrics(true); }
-  ~MetricsOn() { obs::set_metrics(saved_); }
-  MetricsOn(const MetricsOn&) = delete;
-  MetricsOn& operator=(const MetricsOn&) = delete;
-  bool saved_;
-};
-
 /// Balance \p f with the oracle and with the library, under every kernel
 /// setting and chunk grain, and require bit-identical leaf arrays and
 /// payloads tree for tree, reached in the oracle's number of iterations;
@@ -46,7 +37,7 @@ struct MetricsOn {
 /// shows.
 template <class R>
 void expect_mark_parity(const Forest<R>& input, BalanceKind kind) {
-  const MetricsOn metrics;
+  const test::MetricsOn metrics;
   const obs::Counter& iterations = obs::counter("forest.balance.iterations");
   Forest<R> f = input;
   f.enable_payload();
@@ -330,7 +321,7 @@ TYPED_TEST(Balance2DT, EdgeEqualsFace) {
 /// leaves in total.
 TYPED_TEST(CrossTreeBalanceT, FrontierSweepsFewLeaves) {
   using R = TypeParam;
-  const MetricsOn metrics;
+  const test::MetricsOn metrics;
   const obs::Counter& swept = obs::counter("forest.balance.swept_leaves");
   const obs::Counter& iterations = obs::counter("forest.balance.iterations");
   const auto conn = R::dim == 2 ? Connectivity::brick2d(2, 2)
@@ -351,7 +342,7 @@ TYPED_TEST(CrossTreeBalanceT, FrontierSweepsFewLeaves) {
 /// full sweep that proves the balanced forest balanced.
 TYPED_TEST(CrossTreeBalanceT, IsBalancedStopsAtFirstViolation) {
   using R = TypeParam;
-  const MetricsOn metrics;
+  const test::MetricsOn metrics;
   const test::ChunkGrainGuard chunks(16);
   const bool parallel = tree_parallelism();
   set_tree_parallelism(false);

@@ -6,14 +6,18 @@
 /// is_balanced, under both kernel settings and tiny chunk grains that
 /// force many chunks. The read paths borrow the forest's MarkGrids: they
 /// must match the oracle after every kind of mesh change and never build a
-/// grid themselves.
+/// grid themselves. Every rank's ghosts and mirrors come from one lazily
+/// built rank adjacency: one build per mesh version and partition, safe
+/// under concurrent cold reads, correct for ranks that own no leaf.
 
 #include <algorithm>
 #include <cstdint>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -64,12 +68,20 @@ adjacency_sets(const Forest<R>& f, bool use_oracle) {
 
 /// Ghost sets and mirrors must match the oracle's under every kernel
 /// setting; the tiny grain makes every chunk boundary a seam the sweep
-/// must handle (span staging, cursor seeding, bucket merging).
+/// must handle (span staging, cursor seeding, bucket merging). \p f keeps
+/// the rank adjacency of its first read; each setting reads a copy, which
+/// starts without it, so each runs the sweep itself.
 template <class R>
 void expect_ghost_parity(const Forest<R>& f) {
+  const test::MetricsOn metrics;
+  const obs::Counter& builds = obs::counter("forest.adjacency.builds");
   const auto reference = adjacency_sets(f, true);
+  (void)f.ghost_layer(0);
   test::for_each_kernel_and_grain(3, [&] {
-    const auto got = adjacency_sets(f, false);
+    const Forest<R> fresh = f;
+    const std::uint64_t before = builds.value();
+    const auto got = adjacency_sets(fresh, false);
+    EXPECT_EQ(builds.value() - before, 1u) << R::name;
     ASSERT_EQ(got.first.size(), reference.first.size());
     for (std::size_t r = 0; r < got.first.size(); ++r) {
       EXPECT_EQ(got.first[r], reference.first[r]) << R::name << " rank " << r;
@@ -389,8 +401,7 @@ TYPED_TEST(ReadPathsT, ReadsMatchOracleAfterEveryMutator) {
 /// a mesh change does.
 TYPED_TEST(ReadPathsT, ReadPathsBuildNoGrid) {
   using R = TypeParam;
-  const bool metrics_were_on = obs::metrics_enabled();
-  obs::set_metrics(true);
+  const test::MetricsOn metrics;
   const obs::Counter& builds = obs::counter("forest.markgrid.builds");
   test::for_each_kernel_and_grain(3, [&] {
     auto f = two_tree_forest<R>(3);
@@ -411,7 +422,110 @@ TYPED_TEST(ReadPathsT, ReadPathsBuildNoGrid) {
     });
     EXPECT_GT(builds.value(), before);
   });
-  obs::set_metrics(metrics_were_on);
+}
+
+/// Every rank's ghost_layer, mirrors and rank_work_split of one mesh
+/// version and partition share one adjacency build. A leaf change and
+/// each kind of repartition drop it: the next reads build once more and
+/// match the oracle, which a stale adjacency would not.
+TYPED_TEST(ReadPathsT, AdjacencyBuiltOncePerMeshAndPartition) {
+  using R = TypeParam;
+  using quad_t = typename R::quad_t;
+  const test::MetricsOn metrics;
+  const obs::Counter& builds = obs::counter("forest.adjacency.builds");
+  auto f = two_tree_forest<R>(3);
+  const auto read_every_rank = [&] {
+    for (int r = 0; r < f.num_ranks(); ++r) {
+      (void)f.ghost_layer(r);
+      (void)f.mirrors(r);
+      (void)f.rank_work_split(r);
+    }
+  };
+  const auto expect_one_build = [&](const char* after, auto&& change) {
+    SCOPED_TRACE(::testing::Message() << R::name << " after " << after);
+    change();
+    const std::uint64_t before = builds.value();
+    read_every_rank();
+    EXPECT_EQ(builds.value() - before, 1u);
+    read_every_rank();
+    EXPECT_EQ(builds.value() - before, 1u) << "second round";
+    const auto got = adjacency_sets(f, false);
+    const auto want = adjacency_sets(f, true);
+    EXPECT_EQ(got.first, want.first);
+    EXPECT_EQ(got.second, want.second);
+  };
+  expect_one_build("construction", [] {});
+  expect_one_build("refine", [&] {
+    f.refine(false, [](tree_id_t, const quad_t& q) {
+      return R::level_index(q) % 7 == 0;
+    });
+  });
+  expect_one_build("partition", [&] { f.partition(); });
+  expect_one_build("weighted partition", [&] {
+    f.partition_weighted([](tree_id_t t, const quad_t& q) {
+      return std::int64_t{1} + R::level(q) + t;
+    });
+  });
+  expect_one_build("set_num_ranks", [&] { f.set_num_ranks(5); });
+}
+
+/// More ranks than leaves: the ranks left without a leaf have no ghosts,
+/// mirrors, boundary or interior, and every rank matches the oracle.
+TYPED_TEST(ReadPathsT, RanksWithoutLeavesHaveNoAdjacency) {
+  using R = TypeParam;
+  auto f = Forest<R>::new_uniform(Connectivity::unit(R::dim), 1);
+  f.set_num_ranks(static_cast<int>(f.num_quadrants()) + 3);
+  int empty = 0;
+  for (int r = 0; r < f.num_ranks(); ++r) {
+    const auto [first, last] = f.rank_range(r);
+    if (first != last) {
+      continue;
+    }
+    ++empty;
+    EXPECT_TRUE(f.ghost_layer(r).entries.empty()) << "rank " << r;
+    EXPECT_TRUE(f.mirrors(r).empty()) << "rank " << r;
+    const RankWorkSplit split = f.rank_work_split(r);
+    EXPECT_TRUE(split.boundary.empty()) << "rank " << r;
+    EXPECT_TRUE(split.interior.empty()) << "rank " << r;
+  }
+  EXPECT_EQ(empty, 3);
+  const auto got = adjacency_sets(f, false);
+  const auto want = adjacency_sets(f, true);
+  EXPECT_EQ(got.first, want.first);
+  EXPECT_EQ(got.second, want.second);
+}
+
+/// Cold reads from several threads at once race to build the rank
+/// adjacency; each thread must see what a serial read of a copy sees.
+TYPED_TEST(ReadPathsT, ConcurrentColdReadsMatchSerialRead) {
+  using R = TypeParam;
+  constexpr int kThreads = 4;
+  const auto f = two_tree_forest<R>(5);
+  const auto serial = adjacency_sets(Forest<R>(f), false);
+  std::vector<std::vector<std::vector<gidx_t>>> seen(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> readers;
+  for (int k = 0; k < kThreads; ++k) {
+    readers.emplace_back([&, k] {
+      auto& mine = seen[static_cast<std::size_t>(k)];
+      mine.resize(static_cast<std::size_t>(f.num_ranks()));
+      start.arrive_and_wait();
+      // Each thread walks the ranks from a different first one.
+      for (int i = 0; i < f.num_ranks(); ++i) {
+        const int r = (i + k) % f.num_ranks();
+        for (const auto& e : f.ghost_layer(r).entries) {
+          mine[static_cast<std::size_t>(r)].push_back(e.global_index);
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) {
+    t.join();
+  }
+  for (int k = 0; k < kThreads; ++k) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(k)], serial.first)
+        << R::name << " thread " << k;
+  }
 }
 
 }  // namespace

@@ -2,11 +2,9 @@
 /// \brief Unit tests for the utility substrate: stats, RNG, tables,
 /// timers, logging.
 
-#include <cmath>
 #include <cstdint>
 #include <set>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,20 +16,6 @@
 
 namespace qforest {
 namespace {
-
-TEST(Stats, SummarizeAndPercentile) {
-  const std::vector<double> v{5, 1, 4, 2, 3};
-  const SampleSummary s = summarize(v);
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_NEAR(s.stddev, std::sqrt(2.5), 1e-12);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 25), 2.0);
-}
 
 TEST(Stats, SpeedupPercentMatchesPaperConvention) {
   // Baseline 1.77 s vs candidate 1.0 s -> "77% performance boost".
