@@ -27,14 +27,20 @@
 /// tests/forest_oracle.hpp.
 ///
 /// Derived indexes: besides the leaf arrays the forest owns the tree
-/// offsets and one Morton-cell index per tree (MarkGrid). Every operation
-/// that changes leaves ends in reindex(), which rebuilds both; the const
-/// read paths only borrow them, so a mesh that is read many times between
-/// changes is indexed once. The rank adjacency (every rank's ghosts and
-/// mirrors) is built lazily, by one sweep over all leaves on the first
-/// ghost_layer / mirrors / rank_work_split after a change of the mesh or
-/// of the partition; reindex() and every repartition drop it, and a copy
-/// of the forest starts without it.
+/// offsets, one 64-bit curve key per leaf (curve_key: the leaf's Morton
+/// index truncated to level K, then its level) and one Morton-cell index
+/// per tree (MarkGrid, whose cells are curve-key prefixes). Every
+/// operation that changes leaves ends in reindex(), which rebuilds them;
+/// the const read paths only borrow them, so a mesh that is read many
+/// times between changes is indexed once. The sweep and point search
+/// resolve keys with integer compares (curve_less), which fall back to
+/// R::less only for two keys deeper than K in one level-K cell; the
+/// public API (RepLess, find_enclosing_leaf) and is_valid() stay on
+/// R::less. The rank adjacency (every rank's ghosts and mirrors) is built
+/// lazily, by one sweep over all leaves on the first ghost_layer /
+/// mirrors / rank_work_split after a change of the mesh or of the
+/// partition; reindex() and every repartition drop it, and a copy of the
+/// forest starts without it.
 ///
 /// Scheduling is two-level: the per-tree outer loops of the adaptation
 /// algorithms run on the shared forest thread pool (level 1), and within
@@ -68,12 +74,15 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "core/batch_ops.hpp"
 #include "core/bits.hpp"
 #include "core/canonical.hpp"
 #include "core/debug_check.hpp"
+#include "core/quadrant_morton.hpp"
+#include "core/quadrant_wide.hpp"
 #include "core/rep_traits.hpp"
 #include "core/types.hpp"
 #include "forest/connectivity.hpp"
@@ -297,6 +306,72 @@ inline void set_chunk_grain(std::size_t grain) {
 inline std::size_t chunk_grain() {
   // mo: relaxed — scheduling hint; any grain value is correct.
   return detail::chunk_grain_value().load(std::memory_order_relaxed);
+}
+
+// ------------------------------------------------------------- curve keys
+
+/// Level K of a curve key's index: the deepest level whose Morton index
+/// fits a 64-bit key beside the level field (19 in 3D, 29 in 2D).
+template <int Dim>
+inline constexpr int kCurveKeyLevel = Dim == 3 ? 19 : 29;
+
+/// Bits of the level field at the bottom of a curve key.
+inline constexpr int kCurveKeyLevelBits = 5;
+
+/// The 64-bit curve key of \p q: the Morton index of its lower corner on
+/// the level-K grid, shifted left by kCurveKeyLevelBits and OR-ed with
+/// min(level, K). Keys order quadrants as R::less does, ancestors first,
+/// except that two quadrants K or more levels deep in the same level-K
+/// cell share a key; curve_less breaks that tie with R::less. The raw
+/// Morton representations read the key off their own index bits; the
+/// others interleave the truncated canonical coordinates. Precondition:
+/// R::is_valid(q) and R::inside_root(q).
+template <class R>
+std::uint64_t curve_key(const typename R::quad_t& q) {
+  constexpr int d = R::dim;
+  constexpr int k = kCurveKeyLevel<d>;
+  const auto level =
+      static_cast<std::uint64_t>(std::min(R::level(q), k));
+  if constexpr (std::is_same_v<R, MortonRep<d>> ||
+                std::is_same_v<R, WideMortonRep<d>>) {
+    if constexpr (R::max_level <= k) {
+      return static_cast<std::uint64_t>(R::full_index(q))
+                 << (d * (k - R::max_level) + kCurveKeyLevelBits) |
+             level;
+    } else {
+      return static_cast<std::uint64_t>(R::full_index(q) >>
+                                        (d * (R::max_level - k)))
+                 << kCurveKeyLevelBits |
+             level;
+    }
+  } else {
+    constexpr int down = kCanonicalLevel - k;
+    const CanonicalQuadrant c = to_canonical<R>(q);
+    std::uint64_t index = 0;
+    if constexpr (d == 3) {
+      index = bits::interleave3(static_cast<std::uint32_t>(c.x >> down),
+                                static_cast<std::uint32_t>(c.y >> down),
+                                static_cast<std::uint32_t>(c.z >> down));
+    } else {
+      index = bits::interleave2(static_cast<std::uint32_t>(c.x >> down),
+                                static_cast<std::uint32_t>(c.y >> down));
+    }
+    return index << kCurveKeyLevelBits | level;
+  }
+}
+
+/// R::less(a, b) for quadrants with curve keys \p ka and \p kb: the keys
+/// decide unless they are equal, which for distinct quadrants happens
+/// only when both are K or more levels deep, so representations that
+/// stop at level K never call R::less.
+template <class R>
+bool curve_less(std::uint64_t ka, const typename R::quad_t& a,
+                std::uint64_t kb, const typename R::quad_t& b) {
+  if constexpr (R::max_level <= kCurveKeyLevel<R::dim>) {
+    return ka < kb;
+  } else {
+    return ka < kb || (ka == kb && R::less(a, b));
+  }
 }
 
 /// Which neighbor relations the 2:1 balance constraint covers.
@@ -529,12 +604,12 @@ class Forest {
   /// BatchOps<R>::neighbor_at_offset_n. Keys staying inside their source
   /// tree (the vast majority) resolve against the forest's per-tree
   /// Morton-cell index (MarkGrid) with a range-local search of a handful
-  /// of leaves; keys crossing a tree face are bucketed by target tree and
+  /// of leaves' curve keys; keys crossing a tree face are bucketed by target tree and
   /// resolved there with one sort + sorted-merge sweep over the target's
   /// leaf array. The sweep and the split apply run per tree on the forest
   /// pool AND in chunks within each tree (split-bitmap marks use relaxed
   /// atomic stores, everything else stays chunk- or tree-local). After
-  /// each apply, reindex rebuilds the offsets and the grids of the trees
+  /// each apply, reindex rebuilds the offsets, keys and grids of the trees
   /// that were split; the other trees keep theirs.
   ///
   /// The first iteration sweeps every leaf; each later one sweeps only the
@@ -805,26 +880,28 @@ class Forest {
         return;
       }
       h_sweep.record(e - b);
-      std::vector<std::pair<quad_t, std::size_t>> pts;
+      struct PointKey {
+        std::uint64_t curve;
+        quad_t quad;
+        std::size_t query;
+      };
+      std::vector<PointKey> pts;
       pts.reserve(e - b);
       for (std::size_t k = b; k < e; ++k) {
-        pts.emplace_back(point_key(queries[order[k]]), order[k]);
+        const quad_t key = point_key(queries[order[k]]);
+        pts.push_back({curve_key<R>(key), key, order[k]});
       }
-      std::sort(pts.begin(), pts.end(),
-                [](const auto& x, const auto& y) {
-                  return R::less(x.first, y.first);
-                });
+      std::sort(pts.begin(), pts.end(), by_curve);
       // The containing leaf is the last leaf <= the point's key; a
       // complete tree guarantees one exists (the curve-minimal leaf
       // precedes every in-root key).
-      merge_sweep(
-          ti, pts.size(), chunk_grain(),
-          [&](std::size_t k) -> const quad_t& { return pts[k].first; },
-          [&](std::size_t, std::size_t k, std::ptrdiff_t j) {
-            assert(j >= 0);
-            out[pts[k].second] = global_index(static_cast<tree_id_t>(ti),
-                                              static_cast<std::size_t>(j));
-          });
+      merge_sweep(ti, std::span<const PointKey>(pts), chunk_grain(),
+                  [&](std::size_t, std::size_t k, std::ptrdiff_t j) {
+                    assert(j >= 0);
+                    out[pts[k].query] =
+                        global_index(static_cast<tree_id_t>(ti),
+                                     static_cast<std::size_t>(j));
+                  });
     });
     return out;
   }
@@ -1710,10 +1787,11 @@ class Forest {
   }
 
   /// Rebuild the indexes derived from the leaf arrays: the tree offsets
-  /// and the MarkGrid of every tree in \p changed (every tree when null),
-  /// and drop the rank adjacency. Every operation that changes leaves ends
-  /// here, on its exception path too, so the const read paths borrow the
-  /// offsets and grids without a check.
+  /// and, for every tree in \p changed (every tree when null), the leaves'
+  /// curve keys and the MarkGrid; and drop the rank adjacency. Every
+  /// operation that changes leaves ends here, on its exception path too,
+  /// so the const read paths borrow the offsets, keys and grids without a
+  /// check.
   void reindex(const std::vector<std::size_t>* changed = nullptr) {
     adjacency_.reset();
     tree_offsets_.assign(trees_.size() + 1, 0);
@@ -1721,10 +1799,11 @@ class Forest {
       tree_offsets_[t + 1] =
           tree_offsets_[t] + static_cast<gidx_t>(trees_[t].size());
     }
+    keys_.resize(trees_.size());
     grids_.resize(trees_.size());
     parallel_over(changed ? changed->size() : trees_.size(),
                   [&](std::size_t k) {
-                    build_mark_grid(changed ? (*changed)[k] : k);
+                    index_tree(changed ? (*changed)[k] : k);
                   });
   }
 
@@ -1799,54 +1878,66 @@ class Forest {
   /// are aligned blocks) that starts at begin[c]; begin has one extra
   /// entry, begin[cells] = n. A leaf meeting two cells is coarser than the
   /// grid and so the only leaf in each of them, hence the range of cell c
-  /// ends at max(begin[c + 1], begin[c] + 1). A key lookup then touches
-  /// only the few leaves of one cell instead of binary-searching the whole
-  /// tree.
+  /// ends at max(begin[c + 1], begin[c] + 1). The grid level is at most K,
+  /// so the cell of a curve key is its prefix, key >> shift. A key lookup
+  /// then touches only the few leaves of one cell instead of
+  /// binary-searching the whole tree.
   struct MarkGrid {
-    int level = 0;
+    int shift = 0;  ///< curve-key bits below the cell index
     std::vector<std::size_t> begin;
   };
 
-  /// Build tree \p ti's MarkGrid. The grid level is chosen so cells hold
-  /// ~2+ leaves on average (a finer grid would cost more to build than it
-  /// saves); a leaf coarser than the grid covers an aligned block of
-  /// cells that is contiguous in cell-Morton order. The fill runs
-  /// chunk-parallel with plain stores: a leaf writes only the cells of its
-  /// block past the last cell of the leaves before it, so in a sorted tree
-  /// every cell is written once, by the first leaf meeting it. Each chunk
-  /// writes only between its start cell and the next chunk's (a running
-  /// maximum, so even the unsorted leaves replace_leaves accepts before
-  /// is_valid() rejects them get disjoint, in-bounds stores; invalid
-  /// leaves write nothing).
-  void build_mark_grid(std::size_t ti) {
+  /// Curve key of a leaf that is_valid() rejects (invalid or outside the
+  /// root): its level field is out of range, so no quadrant has it.
+  static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+
+  /// Build tree \p ti's curve keys (keys_[ti], sized exactly) and its
+  /// MarkGrid. The grid level is chosen so cells hold ~2+ leaves on
+  /// average (a finer grid would cost more to build than it saves); a
+  /// leaf coarser than the grid covers an aligned block of cells that is
+  /// contiguous in cell-Morton order. Both passes run chunk-parallel with
+  /// plain stores: a leaf writes only the cells of its block past the last
+  /// cell of the leaves before it, so in a sorted tree every cell is
+  /// written once, by the first leaf meeting it. Each chunk writes only
+  /// between its start cell and the next chunk's (a running maximum, so
+  /// even the unsorted leaves replace_leaves accepts before is_valid()
+  /// rejects them get disjoint, in-bounds stores; invalid leaves get
+  /// kNoKey and write no cell).
+  void index_tree(std::size_t ti) {
     static obs::Counter& c_builds = obs::counter("forest.markgrid.builds");
     c_builds.add(1);
     const auto& tree = trees_[ti];
     const std::size_t n = tree.size();
+    const std::size_t grain = chunk_grain();
+    std::vector<std::uint64_t> keys(n);
+    parallel_chunks(n, grain, [&](std::size_t, std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        keys[i] = R::is_valid(tree[i]) && R::inside_root(tree[i])
+                      ? curve_key<R>(tree[i])
+                      : kNoKey;
+      }
+    });
+    keys_[ti] = std::move(keys);
     int lvl = 0;
-    while (lvl + 1 <= R::max_level &&
+    while (lvl + 1 <= std::min(R::max_level, kCurveKeyLevel<dim>) &&
            (std::size_t{1} << (dim * (lvl + 1))) * 2 <= n) {
       ++lvl;
     }
     MarkGrid& g = grids_[ti];
-    g.level = lvl;
+    g.shift = dim * (kCurveKeyLevel<dim> - lvl) + kCurveKeyLevelBits;
     const std::size_t cells = std::size_t{1} << (dim * lvl);
     g.begin.assign(cells + 1, n);
     // Cells [first, last) met by leaf i.
-    const int shift = kCanonicalLevel - lvl;
+    const auto& key = keys_[ti];
     const auto cells_of = [&](std::size_t i) -> std::pair<std::size_t,
                                                           std::size_t> {
-      if (!R::is_valid(tree[i]) || !R::inside_root(tree[i])) {
+      if (key[i] == kNoKey) {
         return {0, 0};
       }
-      const CanonicalQuadrant c = to_canonical<R>(tree[i]);
-      const std::uint64_t c0 =
-          cell_morton(c.x >> shift, c.y >> shift, c.z >> shift);
-      return {c0, c0 + (c.level < lvl ? std::uint64_t{1}
-                                            << (dim * (lvl - c.level))
-                                      : 1)};
+      const std::uint64_t c0 = key[i] >> g.shift;
+      const int l = R::level(tree[i]);
+      return {c0, c0 + (l < lvl ? std::uint64_t{1} << (dim * (lvl - l)) : 1)};
     };
-    const std::size_t grain = chunk_grain();
     const std::size_t nchunks = batch::chunk_count(n, grain);
     std::vector<std::size_t> start(nchunks + 1, cells);
     start[0] = 0;
@@ -1867,64 +1958,74 @@ class Forest {
     });
   }
 
-  static std::uint64_t cell_morton(std::int64_t cx, std::int64_t cy,
-                                   std::int64_t cz) {
-    if constexpr (dim == 3) {
-      return bits::interleave3(static_cast<std::uint32_t>(cx),
-                               static_cast<std::uint32_t>(cy),
-                               static_cast<std::uint32_t>(cz));
-    } else {
-      (void)cz;
-      return bits::interleave2(static_cast<std::uint32_t>(cx),
-                               static_cast<std::uint32_t>(cy));
+  /// Index of the last leaf in [lo, hi) of tree \p ti that is <= the
+  /// key (curve key \p curve, quadrant \p key) in curve order, or lo - 1
+  /// when there is none: a binary search on the integer keys.
+  [[nodiscard]] std::ptrdiff_t last_leq(std::size_t ti, std::size_t lo,
+                                        std::size_t hi, std::uint64_t curve,
+                                        const quad_t& key) const {
+    const auto& tree = trees_[ti];
+    const auto& keys = keys_[ti];
+    std::size_t count = hi - lo;
+    while (count > 0) {
+      const std::size_t half = count / 2;
+      const std::size_t mid = lo + half;
+      if (curve_less<R>(curve, key, keys[mid], tree[mid])) {
+        count = half;
+      } else {
+        lo = mid + 1;
+        count -= half + 1;
+      }
     }
+    return static_cast<std::ptrdiff_t>(lo) - 1;
   }
 
   /// The merge cursor of a key staying in tree \p ti, found through the
   /// tree's MarkGrid: the index of the last leaf <= key in curve order.
   /// In a complete tree the key's enclosing leaf — or, when the key's
   /// region is covered by finer leaves, the first of them — intersects
-  /// the grid cell holding the key's lower corner, so the upper_bound
-  /// local to that cell's leaf range lands where the whole-tree one does.
+  /// the grid cell holding the key's lower corner, so the search local to
+  /// that cell's leaf range lands where the whole-tree one does.
   [[nodiscard]] std::ptrdiff_t grid_cursor(std::size_t ti,
-                                           const CanonicalQuadrant& nc,
+                                           std::uint64_t curve,
                                            const quad_t& key) const {
-    const auto& tree = trees_[ti];
     const MarkGrid& g = grids_[ti];
-    const int shift = kCanonicalLevel - g.level;
-    const std::uint64_t cell =
-        cell_morton(nc.x >> shift, nc.y >> shift, nc.z >> shift);
+    const std::uint64_t cell = curve >> g.shift;
     const std::size_t lo = g.begin[cell];
     // lo == n only in a tree that is_valid() rejects: the range is empty.
     const std::size_t hi =
-        std::min(std::max(g.begin[cell + 1], lo + 1), tree.size());
-    return std::upper_bound(tree.begin() + static_cast<std::ptrdiff_t>(lo),
-                            tree.begin() + static_cast<std::ptrdiff_t>(hi),
-                            key, RepLess<R>{}) -
-           tree.begin() - 1;
+        std::min(std::max(g.begin[cell + 1], lo + 1), trees_[ti].size());
+    return last_leq(ti, lo, hi, curve, key);
   }
 
-  /// The sorted-merge cursor: resolve \p n keys sorted along the curve
-  /// (key_of(k)) against tree \p ti. Keys and leaves are both sorted by
-  /// R::less, so the index j of the last leaf <= key — the only possible
-  /// enclosure, exactly what upper_bound - 1 yields — advances
+  /// Orders keyed quadrants (members curve and quad) along the curve.
+  static constexpr auto by_curve = [](const auto& x, const auto& y) {
+    return curve_less<R>(x.curve, x.quad, y.curve, y.quad);
+  };
+
+  /// The sorted-merge cursor: resolve \p keys, sorted by_curve, against
+  /// tree \p ti. Keys and leaves are both in curve order, so the index j
+  /// of the last leaf <= key — the only possible enclosure — advances
   /// monotonically. The keys are cut into chunks of \p grain run on the
-  /// forest pool; each chunk seeds j with one upper_bound on its first key
-  /// and calls \p fn(chunk, k, j) for each of its keys (j = -1: none).
-  template <class KeyOf, class Fn>
-  void merge_sweep(std::size_t ti, std::size_t n, std::size_t grain,
-                   KeyOf&& key_of, Fn&& fn) const {
+  /// forest pool; each chunk seeds j with one binary search on its first
+  /// key and calls \p fn(chunk, k, j) for each of its keys (j = -1: none).
+  template <class Keyed, class Fn>
+  void merge_sweep(std::size_t ti, std::span<const Keyed> keys,
+                   std::size_t grain, Fn&& fn) const {
     const auto& tree = trees_[ti];
+    const auto& curves = keys_[ti];
     const auto m = static_cast<std::ptrdiff_t>(tree.size());
-    parallel_chunks(n, grain,
+    parallel_chunks(keys.size(), grain,
                     [&](std::size_t c, std::size_t b, std::size_t e) {
-      std::ptrdiff_t j = std::upper_bound(tree.begin(), tree.end(),
-                                          key_of(b), RepLess<R>{}) -
-                         tree.begin() - 1;
+      std::ptrdiff_t j =
+          last_leq(ti, 0, tree.size(), keys[b].curve, keys[b].quad);
       for (std::size_t k = b; k < e; ++k) {
-        const quad_t& key = key_of(k);
-        while (j + 1 < m &&
-               !R::less(key, tree[static_cast<std::size_t>(j + 1)])) {
+        const Keyed& key = keys[k];
+        while (j + 1 < m) {
+          const auto next = static_cast<std::size_t>(j + 1);
+          if (curve_less<R>(key.curve, key.quad, curves[next], tree[next])) {
+            break;
+          }
           ++j;
         }
         fn(c, k, j);
@@ -1935,11 +2036,12 @@ class Forest {
   /// Sorted, disjoint half-open ranges of global leaf indices.
   using LeafRanges = std::vector<std::pair<gidx_t, gidx_t>>;
 
-  /// Where a sweep key came from: the source leaf and the index of its
-  /// displacement in the sweep's offset set.
+  /// Where a sweep key came from: the source leaf, the index of its
+  /// displacement in the sweep's offset set and the rank owning the leaf.
   struct SweepSource {
     tree_id_t tree;
     int offset;
+    int rank;
     std::size_t leaf;
   };
 
@@ -1948,10 +2050,12 @@ class Forest {
     explicit NoSource(const SweepSource&) {}
   };
 
-  /// A cross-tree key in its target tree's frame, plus its payload.
+  /// A cross-tree key in its target tree's frame, its curve key and its
+  /// payload.
   template <class Payload>
   struct RemoteKey {
-    quad_t key;
+    std::uint64_t curve;
+    quad_t quad;
     [[no_unique_address]] Payload payload;
   };
 
@@ -1990,21 +2094,24 @@ class Forest {
   ///      level-uniform spans, produce the keys in bulk through
   ///      BatchOps<R>::neighbor_at_offset_n and wrap them across tree
   ///      faces. Keys leaving the domain go to \p boundary(out, source);
-  ///      keys staying in the source tree (a periodic wrap included)
-  ///      resolve on the spot through its MarkGrid; keys entering another
-  ///      tree are bucketed per chunk and target;
+  ///      every other key gets its curve key. Keys staying in the source
+  ///      tree (a periodic wrap included) resolve on the spot through its
+  ///      MarkGrid; keys entering another tree are bucketed per chunk and
+  ///      target;
   ///   2. the buckets are grouped per target with one pointer pass, and
-  ///      each target concatenates and sorts its keys and resolves them
-  ///      with merge_sweep.
+  ///      each target concatenates and sorts its keys by curve key and
+  ///      resolves them with merge_sweep.
   /// Every resolved key goes to \p hit(out, tree, j, key, payload) with
-  /// payload = Payload(source): SweepSource when the action needs to know
-  /// the key's origin, NoSource when it does not (its cross-tree keys then
-  /// stay quadrant-sized). Actions run concurrently; \p out is a private
+  /// payload = Payload(source): SweepSource (its rank comes from the
+  /// chunk's rank range, not a lookup per key) when the action needs to
+  /// know the key's origin, NoSource when it does not (its cross-tree keys
+  /// then carry no source). Actions run concurrently; \p out is a private
   /// sink per chunk, and the global indices pushed there are returned
   /// concatenated, unsorted. Once \p stop is set (an action may set it)
   /// the chunks and targets not yet started are skipped, so a yes/no
   /// question answers at its first hit. The sweep only reads the forest's
-  /// indexes (tree offsets and MarkGrids), which reindex keeps current.
+  /// indexes (tree offsets, curve keys and MarkGrids), which reindex keeps
+  /// current.
   template <class Payload, class Hit, class Boundary>
   std::vector<gidx_t> neighbor_sweep(
       const LeafRanges& sources, const std::vector<std::array<int, 3>>& offsets,
@@ -2085,6 +2192,8 @@ class Forest {
         auto r = static_cast<std::size_t>(
             std::upper_bound(start.begin(), start.end(), cb) - start.begin() -
             1);
+        const std::size_t first = ranges[r].first + (cb - start[r]);
+        std::size_t last = first;
         for (std::size_t p = cb; p < ce; ++p) {
           if (p == start[r + 1]) {
             ++r;
@@ -2093,7 +2202,18 @@ class Forest {
           if (R::level(tree[i]) >= min_level) {
             staged.add(tree[i], i);
           }
+          last = i;
         }
+        // The chunk's sources are ascending, so one rank owns them all
+        // unless the chunk straddles a rank boundary.
+        const gidx_t base = tree_offsets_[ti];
+        const int rank_first = owner_rank(base + static_cast<gidx_t>(first));
+        const int rank_last = owner_rank(base + static_cast<gidx_t>(last));
+        const auto rank_of = [&](std::size_t leaf) {
+          return rank_first == rank_last
+                     ? rank_first
+                     : owner_rank(base + static_cast<gidx_t>(leaf));
+        };
         std::vector<std::int64_t> ox, oy, oz;
         for (auto l = static_cast<std::size_t>(min_level);
              l < staged.num_levels(); ++l) {
@@ -2112,7 +2232,8 @@ class Forest {
                                               span.size(), d[0], d[1], d[2],
                                               static_cast<int>(l));
             for (std::size_t i = 0; i < span.size(); ++i) {
-              const SweepSource from{t, static_cast<int>(o), src[i]};
+              const SweepSource from{t, static_cast<int>(o), rank_of(src[i]),
+                                     src[i]};
               std::int64_t pos[3] = {ox[i], oy[i], oz[i]};
               std::array<int, 3> step{};
               const tree_id_t target = wrap_key(t, pos, step);
@@ -2120,17 +2241,17 @@ class Forest {
                 boundary(mine, from);  // physical boundary
                 continue;
               }
-              const CanonicalQuadrant nc{pos[0], pos[1], pos[2],
-                                         static_cast<int>(l)};
-              const quad_t key = from_canonical<R>(nc);
+              const quad_t key = from_canonical<R>(CanonicalQuadrant{
+                  pos[0], pos[1], pos[2], static_cast<int>(l)});
+              const std::uint64_t curve = curve_key<R>(key);
               if (target == t) {
                 ++local_keys;
-                hit(mine, ti, grid_cursor(ti, nc, key), key,
+                hit(mine, ti, grid_cursor(ti, curve, key), key,
                     Payload(from));
               } else {
                 ++merge_keys;
                 bucket_for(target).push_back(
-                    RemoteKey<Payload>{key, Payload(from)});
+                    RemoteKey<Payload>{curve, key, Payload(from)});
               }
             }
           }
@@ -2173,18 +2294,13 @@ class Forest {
       for (const auto* part : incoming[ti]) {
         keys.insert(keys.end(), part->begin(), part->end());
       }
-      std::sort(keys.begin(), keys.end(),
-                [](const RemoteKey<Payload>& x, const RemoteKey<Payload>& y) {
-                  return R::less(x.key, y.key);
-                });
+      std::sort(keys.begin(), keys.end(), by_curve);
       std::vector<std::vector<gidx_t>> chunk_out(
           batch::chunk_count(keys.size(), grain));
-      merge_sweep(
-          ti, keys.size(), grain,
-          [&](std::size_t k) -> const quad_t& { return keys[k].key; },
-          [&](std::size_t c, std::size_t k, std::ptrdiff_t j) {
-            hit(chunk_out[c], ti, j, keys[k].key, keys[k].payload);
-          });
+      merge_sweep(ti, std::span<const RemoteKey<Payload>>(keys), grain,
+                  [&](std::size_t c, std::size_t k, std::ptrdiff_t j) {
+                    hit(chunk_out[c], ti, j, keys[k].quad, keys[k].payload);
+                  });
       append_parts(target_out[ti], chunk_out);
     });
     append_parts(out, source_out);
@@ -2318,7 +2434,7 @@ class Forest {
         [&](std::vector<gidx_t>& out, std::size_t ti, std::ptrdiff_t j,
             const quad_t& key, const SweepSource& from) {
           const gidx_t s = global_index(from.tree, from.leaf);
-          const int rank = owner_rank(s);
+          const int rank = from.rank;
           const auto [first, last] = rank_range(rank);
           const auto& tree = trees_[ti];
           const auto emit = [&](std::size_t leaf) {
@@ -2501,6 +2617,7 @@ class Forest {
   bool payload_enabled_ = false;
   std::vector<std::vector<std::uint64_t>> payloads_;
   std::vector<gidx_t> tree_offsets_;        ///< size num_trees()+1
+  std::vector<std::vector<std::uint64_t>> keys_;  ///< curve keys (reindex)
   std::vector<MarkGrid> grids_;             ///< one per tree (reindex)
   std::vector<std::int64_t> rank_offsets_;  ///< size num_ranks()+1
   detail::LazyIndex<RankAdjacency> adjacency_;  ///< reindex, partition
