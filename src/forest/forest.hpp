@@ -856,8 +856,9 @@ class Forest {
       }
     }
     std::vector<gidx_t> out(queries.size(), -1);
-    // Counting sort groups the query indices per tree without touching
-    // the input order (results land at each query's original slot).
+    // Counting sort groups the queries per tree in one flat key array
+    // without touching the input order (results land at each query's
+    // original slot).
     const std::size_t nt = trees_.size();
     std::vector<std::size_t> count(nt + 1, 0);
     for (const PointQuery& p : queries) {
@@ -866,11 +867,16 @@ class Forest {
     for (std::size_t t = 1; t <= nt; ++t) {
       count[t] += count[t - 1];
     }
-    std::vector<std::size_t> order(queries.size());
+    struct PointKey {
+      quad_t quad;  // first: a 16-byte-aligned quadrant then needs no padding
+      std::uint64_t curve;
+      std::size_t query;
+    };
+    std::vector<PointKey> pts(queries.size());
     {
       std::vector<std::size_t> cursor(count.begin(), count.end() - 1);
       for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-        order[cursor[static_cast<std::size_t>(queries[qi].tree)]++] = qi;
+        pts[cursor[static_cast<std::size_t>(queries[qi].tree)]++].query = qi;
       }
     }
     parallel_over(nt, [&](std::size_t ti) {
@@ -880,25 +886,19 @@ class Forest {
         return;
       }
       h_sweep.record(e - b);
-      struct PointKey {
-        std::uint64_t curve;
-        quad_t quad;
-        std::size_t query;
-      };
-      std::vector<PointKey> pts;
-      pts.reserve(e - b);
-      for (std::size_t k = b; k < e; ++k) {
-        const quad_t key = point_key(queries[order[k]]);
-        pts.push_back({curve_key<R>(key), key, order[k]});
+      const std::span<PointKey> mine(pts.data() + b, e - b);
+      for (PointKey& p : mine) {
+        p.quad = point_key(queries[p.query]);
+        p.curve = curve_key<R>(p.quad);
       }
-      std::sort(pts.begin(), pts.end(), by_curve);
+      std::sort(mine.begin(), mine.end(), by_curve);
       // The containing leaf is the last leaf <= the point's key; a
       // complete tree guarantees one exists (the curve-minimal leaf
       // precedes every in-root key).
-      merge_sweep(ti, std::span<const PointKey>(pts), chunk_grain(),
+      merge_sweep(ti, std::span<const PointKey>(mine), chunk_grain(),
                   [&](std::size_t, std::size_t k, std::ptrdiff_t j) {
                     assert(j >= 0);
-                    out[pts[k].query] =
+                    out[mine[k].query] =
                         global_index(static_cast<tree_id_t>(ti),
                                      static_cast<std::size_t>(j));
                   });
@@ -1192,6 +1192,7 @@ class Forest {
   /// consistent (is_valid() holds; the adaptation is simply partial).
   template <class Fn>
   void adapt_and_rebuild(Fn&& body) {
+    drop_index();
     try {
       body();
     } catch (...) {
@@ -1807,6 +1808,18 @@ class Forest {
                   });
   }
 
+  /// Release the indexes derived from the leaves (keys, grids, rank
+  /// adjacency) before an adaptation rewrites the leaf arrays: its
+  /// staging buffers then do not sit on top of them, and the reindex()
+  /// that ends every adaptation rebuilds them.
+  void drop_index() {
+    adjacency_.reset();
+    for (std::size_t t = 0; t < keys_.size(); ++t) {
+      std::vector<std::uint64_t>().swap(keys_[t]);
+      std::vector<std::size_t>().swap(grids_[t].begin);
+    }
+  }
+
   /// Whether \p leaf is \p key or one of its ancestors.
   static bool encloses(const quad_t& leaf, const quad_t& key) {
     return R::equal(leaf, key) || R::is_ancestor(leaf, key);
@@ -1909,15 +1922,18 @@ class Forest {
     const auto& tree = trees_[ti];
     const std::size_t n = tree.size();
     const std::size_t grain = chunk_grain();
-    std::vector<std::uint64_t> keys(n);
+    // The old keys go before the new ones are allocated, so a rebuild of
+    // every tree never holds two key arrays.
+    std::vector<std::uint64_t>& key = keys_[ti];
+    std::vector<std::uint64_t>().swap(key);
+    key.resize(n);
     parallel_chunks(n, grain, [&](std::size_t, std::size_t b, std::size_t e) {
       for (std::size_t i = b; i < e; ++i) {
-        keys[i] = R::is_valid(tree[i]) && R::inside_root(tree[i])
-                      ? curve_key<R>(tree[i])
-                      : kNoKey;
+        key[i] = R::is_valid(tree[i]) && R::inside_root(tree[i])
+                     ? curve_key<R>(tree[i])
+                     : kNoKey;
       }
     });
-    keys_[ti] = std::move(keys);
     int lvl = 0;
     while (lvl + 1 <= std::min(R::max_level, kCurveKeyLevel<dim>) &&
            (std::size_t{1} << (dim * (lvl + 1))) * 2 <= n) {
@@ -1928,7 +1944,6 @@ class Forest {
     const std::size_t cells = std::size_t{1} << (dim * lvl);
     g.begin.assign(cells + 1, n);
     // Cells [first, last) met by leaf i.
-    const auto& key = keys_[ti];
     const auto cells_of = [&](std::size_t i) -> std::pair<std::size_t,
                                                           std::size_t> {
       if (key[i] == kNoKey) {
@@ -2054,8 +2069,8 @@ class Forest {
   /// payload.
   template <class Payload>
   struct RemoteKey {
+    quad_t quad;  // first: a 16-byte-aligned quadrant then needs no padding
     std::uint64_t curve;
-    quad_t quad;
     [[no_unique_address]] Payload payload;
   };
 
@@ -2251,7 +2266,7 @@ class Forest {
               } else {
                 ++merge_keys;
                 bucket_for(target).push_back(
-                    RemoteKey<Payload>{curve, key, Payload(from)});
+                    RemoteKey<Payload>{key, curve, Payload(from)});
               }
             }
           }
@@ -2271,12 +2286,12 @@ class Forest {
     });
     // One serial pass groups bucket pointers per target, so the
     // per-target workers below don't each scan every source tree
-    // (quadratic in num_trees on large bricks).
+    // (quadratic in num_trees on large bricks). Each bucket has one
+    // target, which releases it once copied.
     const std::size_t nt = trees_.size();
-    std::vector<std::vector<const std::vector<RemoteKey<Payload>>*>> incoming(
-        nt);
-    for (const auto& per_source : buckets) {
-      for (const RemoteBucket<Payload>& bk : per_source) {
+    std::vector<std::vector<std::vector<RemoteKey<Payload>>*>> incoming(nt);
+    for (auto& per_source : buckets) {
+      for (RemoteBucket<Payload>& bk : per_source) {
         incoming[static_cast<std::size_t>(bk.tree)].push_back(&bk.keys);
       }
     }
@@ -2291,8 +2306,9 @@ class Forest {
       }
       std::vector<RemoteKey<Payload>> keys;
       keys.reserve(total);
-      for (const auto* part : incoming[ti]) {
+      for (auto* part : incoming[ti]) {
         keys.insert(keys.end(), part->begin(), part->end());
+        std::vector<RemoteKey<Payload>>().swap(*part);
       }
       std::sort(keys.begin(), keys.end(), by_curve);
       std::vector<std::vector<gidx_t>> chunk_out(
