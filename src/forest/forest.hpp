@@ -604,11 +604,12 @@ class Forest {
   /// BatchOps<R>::neighbor_at_offset_n. Keys staying inside their source
   /// tree (the vast majority) resolve against the forest's per-tree
   /// Morton-cell index (MarkGrid) with a range-local search of a handful
-  /// of leaves' curve keys; keys crossing a tree face are bucketed by target tree and
-  /// resolved there with one sort + sorted-merge sweep over the target's
-  /// leaf array. The sweep and the split apply run per tree on the forest
-  /// pool AND in chunks within each tree (split-bitmap marks use relaxed
-  /// atomic stores, everything else stays chunk- or tree-local). After
+  /// of leaves' curve keys; keys crossing a tree face are bucketed by
+  /// target tree and resolved there with one sort + sorted-merge sweep
+  /// over the target's leaf array. The sweep and the split apply run per
+  /// tree on the forest pool AND in chunks within each tree (split-bitmap
+  /// marks use relaxed atomic stores, everything else stays chunk- or
+  /// tree-local). After
   /// each apply, reindex rebuilds the offsets, keys and grids of the trees
   /// that were split; the other trees keep theirs.
   ///
@@ -1908,32 +1909,20 @@ class Forest {
   /// MarkGrid. The grid level is chosen so cells hold ~2+ leaves on
   /// average (a finer grid would cost more to build than it saves); a
   /// leaf coarser than the grid covers an aligned block of cells that is
-  /// contiguous in cell-Morton order. Both passes run chunk-parallel with
-  /// plain stores: a leaf writes only the cells of its block past the last
-  /// cell of the leaves before it, so in a sorted tree every cell is
-  /// written once, by the first leaf meeting it. Each chunk writes only
-  /// between its start cell and the next chunk's (a running maximum, so
-  /// even the unsorted leaves replace_leaves accepts before is_valid()
-  /// rejects them get disjoint, in-bounds stores; invalid leaves get
-  /// kNoKey and write no cell).
+  /// contiguous in cell-Morton order. One chunk-parallel pass writes the
+  /// keys and the cells with plain stores: a leaf writes only the cells of
+  /// its block past the last cell of the leaves before it, so in a sorted
+  /// tree every cell is written once, by the first leaf meeting it. Each
+  /// chunk writes only between its start cell and the next chunk's (a
+  /// running maximum, so even the unsorted leaves replace_leaves accepts
+  /// before is_valid() rejects them get disjoint, in-bounds stores;
+  /// invalid leaves get kNoKey and write no cell).
   void index_tree(std::size_t ti) {
     static obs::Counter& c_builds = obs::counter("forest.markgrid.builds");
     c_builds.add(1);
     const auto& tree = trees_[ti];
     const std::size_t n = tree.size();
     const std::size_t grain = chunk_grain();
-    // The old keys go before the new ones are allocated, so a rebuild of
-    // every tree never holds two key arrays.
-    std::vector<std::uint64_t>& key = keys_[ti];
-    std::vector<std::uint64_t>().swap(key);
-    key.resize(n);
-    parallel_chunks(n, grain, [&](std::size_t, std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        key[i] = R::is_valid(tree[i]) && R::inside_root(tree[i])
-                     ? curve_key<R>(tree[i])
-                     : kNoKey;
-      }
-    });
     int lvl = 0;
     while (lvl + 1 <= std::min(R::max_level, kCurveKeyLevel<dim>) &&
            (std::size_t{1} << (dim * (lvl + 1))) * 2 <= n) {
@@ -1943,13 +1932,18 @@ class Forest {
     g.shift = dim * (kCurveKeyLevel<dim> - lvl) + kCurveKeyLevelBits;
     const std::size_t cells = std::size_t{1} << (dim * lvl);
     g.begin.assign(cells + 1, n);
-    // Cells [first, last) met by leaf i.
-    const auto cells_of = [&](std::size_t i) -> std::pair<std::size_t,
-                                                          std::size_t> {
-      if (key[i] == kNoKey) {
+    const auto key_of = [&](std::size_t i) {
+      return R::is_valid(tree[i]) && R::inside_root(tree[i])
+                 ? curve_key<R>(tree[i])
+                 : kNoKey;
+    };
+    // Cells [first, last) met by leaf i, whose curve key is k.
+    const auto cells_of = [&](std::size_t i, std::uint64_t k)
+        -> std::pair<std::size_t, std::size_t> {
+      if (k == kNoKey) {
         return {0, 0};
       }
-      const std::uint64_t c0 = key[i] >> g.shift;
+      const std::uint64_t c0 = k >> g.shift;
       const int l = R::level(tree[i]);
       return {c0, c0 + (l < lvl ? std::uint64_t{1} << (dim * (lvl - l)) : 1)};
     };
@@ -1957,13 +1951,20 @@ class Forest {
     std::vector<std::size_t> start(nchunks + 1, cells);
     start[0] = 0;
     for (std::size_t c = 1; c < nchunks; ++c) {
-      start[c] = std::max(start[c - 1], cells_of(c * grain - 1).second);
+      const std::size_t last = c * grain - 1;
+      start[c] = std::max(start[c - 1], cells_of(last, key_of(last)).second);
     }
+    // The old keys go before the new ones are allocated, so a rebuild of
+    // every tree never holds two key arrays.
+    std::vector<std::uint64_t>& key = keys_[ti];
+    std::vector<std::uint64_t>().swap(key);
+    key.resize(n);
     parallel_chunks(n, grain,
                     [&](std::size_t c, std::size_t b, std::size_t e) {
       std::size_t next = start[c];
       for (std::size_t i = b; i < e; ++i) {
-        const auto [c0, c1] = cells_of(i);
+        key[i] = key_of(i);
+        const auto [c0, c1] = cells_of(i, key[i]);
         for (std::size_t cc = std::max(c0, next);
              cc < std::min(c1, start[c + 1]); ++cc) {
           g.begin[cc] = i;
