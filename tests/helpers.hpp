@@ -1,11 +1,17 @@
 #pragma once
 /// \file helpers.hpp
 /// \brief Shared test utilities: random quadrant generation, the list of
-/// representation types under test, canonical-form matchers, and guards
-/// for the process-global kernel, chunk-grain and metrics switches.
+/// representation types under test, canonical-form matchers, guards for
+/// the process-global kernel, chunk-grain and metrics switches, and the
+/// order-independent ghost/mirror and face fingerprints the read-path
+/// parity tests compare against the oracle.
 
 #include <algorithm>
 #include <cstddef>
+#include <mutex>
+#include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +25,7 @@
 #include "core/quadrant_wide.hpp"
 #include "core/rep_traits.hpp"
 #include "forest/forest.hpp"
+#include "forest_oracle.hpp"
 #include "obs/metrics.hpp"
 #include "util/random.hpp"
 
@@ -136,6 +143,49 @@ void for_each_kernel_and_grain(std::size_t tiny_grain, Fn&& fn) {
       fn();
     }
   }
+}
+
+/// Every rank's ghost set and mirror set as sorted global indices, from
+/// the library (\p use_oracle false) or from the oracle.
+template <class R>
+std::pair<std::vector<std::vector<gidx_t>>, std::vector<std::vector<gidx_t>>>
+adjacency_sets(const Forest<R>& f, bool use_oracle) {
+  std::vector<std::vector<gidx_t>> ghosts, mirrors;
+  for (int r = 0; r < f.num_ranks(); ++r) {
+    const GhostLayer<R> layer =
+        use_oracle ? oracle::ghost_layer(f, r) : f.ghost_layer(r);
+    std::vector<gidx_t> g;
+    for (const auto& e : layer.entries) {
+      g.push_back(e.global_index);
+    }
+    ghosts.push_back(std::move(g));
+    mirrors.push_back(use_oracle ? oracle::mirrors(f, r) : f.mirrors(r));
+  }
+  return {ghosts, mirrors};
+}
+
+using FaceTuple = std::tuple<bool, bool, tree_id_t, std::size_t, int,
+                             tree_id_t, std::size_t, int>;
+
+/// Order-independent face fingerprint: one canonical tuple per emission,
+/// from the library's concurrent iterate_faces or the oracle's serial one.
+template <class R>
+std::multiset<FaceTuple> face_fingerprint(const Forest<R>& f,
+                                          bool use_oracle) {
+  std::multiset<FaceTuple> out;
+  std::mutex mu;
+  const auto record = [&](const FaceInfo<R>& info) {
+    const std::lock_guard<std::mutex> lock(mu);
+    out.insert({info.is_boundary, info.is_hanging, info.tree[0],
+                info.leaf_index[0], info.face[0], info.tree[1],
+                info.leaf_index[1], info.face[1]});
+  };
+  if (use_oracle) {
+    oracle::iterate_faces(f, record);
+  } else {
+    f.iterate_faces(record);
+  }
+  return out;
 }
 
 /// All shipped representations, used by TYPED_TEST suites.

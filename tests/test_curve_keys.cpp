@@ -9,9 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
-#include <set>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -191,45 +188,14 @@ TEST(CurveKeys, SameKeyInEveryRepresentation) {
 
 // ------------------------------------------------ a forest deeper than K
 
-using FaceTuple = std::tuple<bool, bool, tree_id_t, std::size_t, int,
-                             tree_id_t, std::size_t, int>;
-
-template <class R>
-std::multiset<FaceTuple> faces(const Forest<R>& f, bool use_oracle) {
-  std::multiset<FaceTuple> out;
-  std::mutex mu;
-  const auto record = [&](const FaceInfo<R>& info) {
-    const std::lock_guard<std::mutex> lock(mu);
-    out.insert({info.is_boundary, info.is_hanging, info.tree[0],
-                info.leaf_index[0], info.face[0], info.tree[1],
-                info.leaf_index[1], info.face[1]});
-  };
-  if (use_oracle) {
-    oracle::iterate_faces(f, record);
-  } else {
-    f.iterate_faces(record);
-  }
-  return out;
-}
-
 /// Ghosts and mirrors of every rank, faces, search_points and
 /// is_balanced against the oracle.
 template <class R>
 void expect_reads_match_oracle(const Forest<R>& f,
                                const std::vector<PointQuery>& pts) {
   ASSERT_TRUE(f.is_valid());
-  for (int r = 0; r < f.num_ranks(); ++r) {
-    std::vector<gidx_t> got, want;
-    for (const auto& e : f.ghost_layer(r).entries) {
-      got.push_back(e.global_index);
-    }
-    for (const auto& e : oracle::ghost_layer(f, r).entries) {
-      want.push_back(e.global_index);
-    }
-    EXPECT_EQ(got, want) << "ghosts of rank " << r;
-    EXPECT_EQ(f.mirrors(r), oracle::mirrors(f, r)) << "mirrors of rank " << r;
-  }
-  EXPECT_EQ(faces(f, false), faces(f, true));
+  EXPECT_EQ(test::adjacency_sets(f, false), test::adjacency_sets(f, true));
+  EXPECT_EQ(test::face_fingerprint(f, false), test::face_fingerprint(f, true));
   EXPECT_EQ(f.search_points(pts), oracle::search_points(f, pts));
   for (const BalanceKind kind : {BalanceKind::kFace, BalanceKind::kFull}) {
     EXPECT_EQ(f.is_balanced(kind), oracle::is_balanced(f, kind));

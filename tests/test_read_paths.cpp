@@ -13,12 +13,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <latch>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -47,24 +45,8 @@ Forest<R> make_refined(Connectivity conn, int base, int ranks) {
   return f;
 }
 
-/// Every rank's ghost set and mirror set as sorted global indices, from
-/// the library (\p use_oracle false) or from the oracle.
-template <class R>
-std::pair<std::vector<std::vector<gidx_t>>, std::vector<std::vector<gidx_t>>>
-adjacency_sets(const Forest<R>& f, bool use_oracle) {
-  std::vector<std::vector<gidx_t>> ghosts, mirrors;
-  for (int r = 0; r < f.num_ranks(); ++r) {
-    const GhostLayer<R> layer =
-        use_oracle ? oracle::ghost_layer(f, r) : f.ghost_layer(r);
-    std::vector<gidx_t> g;
-    for (const auto& e : layer.entries) {
-      g.push_back(e.global_index);
-    }
-    ghosts.push_back(std::move(g));
-    mirrors.push_back(use_oracle ? oracle::mirrors(f, r) : f.mirrors(r));
-  }
-  return {ghosts, mirrors};
-}
+using test::adjacency_sets;
+using test::face_fingerprint;
 
 /// Ghost sets and mirrors must match the oracle's under every kernel
 /// setting; the tiny grain makes every chunk boundary a seam the sweep
@@ -149,30 +131,6 @@ TEST(ReadPaths, MirrorsMatchPerRankRecomputation) {
     EXPECT_EQ(got, std::vector<gidx_t>(expected.begin(), expected.end()))
         << "rank " << r;
   }
-}
-
-using FaceTuple = std::tuple<bool, bool, tree_id_t, std::size_t, int,
-                             tree_id_t, std::size_t, int>;
-
-/// Order-independent face fingerprint: one canonical tuple per emission,
-/// from the library's concurrent iterate_faces or the oracle's serial one.
-template <class R>
-std::multiset<FaceTuple> face_fingerprint(const Forest<R>& f,
-                                          bool use_oracle) {
-  std::multiset<FaceTuple> out;
-  std::mutex mu;
-  const auto record = [&](const FaceInfo<R>& info) {
-    const std::lock_guard<std::mutex> lock(mu);
-    out.insert({info.is_boundary, info.is_hanging, info.tree[0],
-                info.leaf_index[0], info.face[0], info.tree[1],
-                info.leaf_index[1], info.face[1]});
-  };
-  if (use_oracle) {
-    oracle::iterate_faces(f, record);
-  } else {
-    f.iterate_faces(record);
-  }
-  return out;
 }
 
 template <class R>

@@ -12,9 +12,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <set>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -66,11 +66,9 @@ struct Snapshot {
   std::vector<std::vector<CanonicalQuadrant>> leaves;
   bool valid = false;
   std::vector<std::pair<gidx_t, gidx_t>> ranges;
-  std::vector<std::vector<gidx_t>> ghosts;
-  std::vector<std::vector<gidx_t>> mirrors;
-  std::multiset<std::tuple<bool, bool, tree_id_t, std::size_t, int,
-                           tree_id_t, std::size_t, int>>
-      faces;
+  std::pair<std::vector<std::vector<gidx_t>>, std::vector<std::vector<gidx_t>>>
+      adjacency;  ///< every rank's ghosts and mirrors
+  std::multiset<test::FaceTuple> faces;
   std::vector<gidx_t> points;
   std::vector<bool> balanced;  ///< kFace, kEdge, kFull
 };
@@ -88,26 +86,9 @@ Snapshot snapshot(const Forest<R>& f, const std::vector<PointQuery>& pts,
   s.valid = f.is_valid();
   for (int r = 0; r < f.num_ranks(); ++r) {
     s.ranges.push_back(f.rank_range(r));
-    const GhostLayer<R> layer =
-        use_oracle ? oracle::ghost_layer(f, r) : f.ghost_layer(r);
-    auto& g = s.ghosts.emplace_back();
-    for (const auto& e : layer.entries) {
-      g.push_back(e.global_index);
-    }
-    s.mirrors.push_back(use_oracle ? oracle::mirrors(f, r) : f.mirrors(r));
   }
-  std::mutex mu;
-  const auto record = [&](const FaceInfo<R>& info) {
-    const std::lock_guard<std::mutex> lock(mu);
-    s.faces.insert({info.is_boundary, info.is_hanging, info.tree[0],
-                    info.leaf_index[0], info.face[0], info.tree[1],
-                    info.leaf_index[1], info.face[1]});
-  };
-  if (use_oracle) {
-    oracle::iterate_faces(f, record);
-  } else {
-    f.iterate_faces(record);
-  }
+  s.adjacency = test::adjacency_sets(f, use_oracle);
+  s.faces = test::face_fingerprint(f, use_oracle);
   s.points = use_oracle ? oracle::search_points(f, pts) : f.search_points(pts);
   for (const BalanceKind kind :
        {BalanceKind::kFace, BalanceKind::kEdge, BalanceKind::kFull}) {
@@ -122,8 +103,7 @@ void expect_same(const Snapshot& a, const Snapshot& b, const char* what) {
   ASSERT_EQ(a.leaves, b.leaves);
   EXPECT_EQ(a.valid, b.valid);
   EXPECT_EQ(a.ranges, b.ranges);
-  EXPECT_EQ(a.ghosts, b.ghosts);
-  EXPECT_EQ(a.mirrors, b.mirrors);
+  EXPECT_EQ(a.adjacency, b.adjacency);
   EXPECT_EQ(a.faces, b.faces);
   EXPECT_EQ(a.points, b.points);
   EXPECT_EQ(a.balanced, b.balanced);
