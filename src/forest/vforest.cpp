@@ -1,438 +1,137 @@
 #include "forest/vforest.hpp"
 
-#include <algorithm>
-#include <cassert>
-
-#include "core/canonical.hpp"
+#include <array>
+#include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 namespace qforest {
 
-VForest::VForest(RepKind kind, Connectivity conn)
+namespace {
+
+/// The boxing adapter of the representation a forest reference holds.
+template <class F>
+using AdapterOf = VirtualOpsAdapter<typename std::remove_cvref_t<F>::rep>;
+
+/// The 2D or 3D forest of representation family \p Rep, by the
+/// connectivity's dimension.
+template <template <int> class Rep, class Forests>
+Forests make_forest(Connectivity conn, int level) {
+  if (conn.dim() == 3) {
+    return Forest<Rep<3>>::new_uniform(std::move(conn), level);
+  }
+  return Forest<Rep<2>>::new_uniform(std::move(conn), level);
+}
+
+}  // namespace
+
+VForest::VForest(RepKind kind, Forests forest)
     : kind_(kind),
-      ops_(&virtual_ops(kind, conn.dim())),
-      conn_(std::move(conn)),
-      trees_(static_cast<std::size_t>(conn_.num_trees())) {}
+      ops_(&virtual_ops(kind, std::visit([](const auto& f) { return f.dim; },
+                                         forest))),
+      forest_(std::move(forest)) {}
 
 VForest VForest::new_uniform(RepKind kind, Connectivity conn, int level) {
-  VForest f(kind, std::move(conn));
-  const VirtualQuadrantOps& ops = *f.ops_;
-  if (level < 0 || level > ops.max_level() || ops.dim() * level >= 64) {
-    throw std::invalid_argument("VForest: level out of range");
+  switch (kind) {
+    case RepKind::kStandard:
+      return {kind, make_forest<StandardRep, Forests>(std::move(conn), level)};
+    case RepKind::kMorton:
+      return {kind, make_forest<MortonRep, Forests>(std::move(conn), level)};
+    case RepKind::kAvx:
+      return {kind, make_forest<AvxRep, Forests>(std::move(conn), level)};
+    case RepKind::kWideMorton:
+      return {kind,
+              make_forest<WideMortonRep, Forests>(std::move(conn), level)};
   }
-  const auto n = std::uint64_t{1}
-                 << (static_cast<unsigned>(ops.dim() * level));
-  for (auto& tree : f.trees_) {
-    tree.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      tree.push_back(ops.morton_quadrant(i, level));
-    }
-  }
-  return f;
+  throw std::invalid_argument("VForest: unknown representation kind");
+}
+
+const Connectivity& VForest::connectivity() const {
+  return std::visit(
+      [](const auto& f) -> const Connectivity& { return f.connectivity(); },
+      forest_);
+}
+
+tree_id_t VForest::num_trees() const {
+  return std::visit([](const auto& f) { return f.num_trees(); }, forest_);
 }
 
 std::int64_t VForest::num_quadrants() const {
-  std::int64_t n = 0;
-  for (const auto& tree : trees_) {
-    n += static_cast<std::int64_t>(tree.size());
-  }
-  return n;
+  return std::visit([](const auto& f) { return f.num_quadrants(); }, forest_);
+}
+
+std::vector<VQuad> VForest::tree_quadrants(tree_id_t t) const {
+  return std::visit(
+      [t](const auto& f) {
+        const auto& leaves = f.tree_quadrants(t);
+        std::vector<VQuad> out;
+        out.reserve(leaves.size());
+        for (const auto& q : leaves) {
+          out.push_back(AdapterOf<decltype(f)>::box(q));
+        }
+        return out;
+      },
+      forest_);
 }
 
 int VForest::max_level_used() const {
-  int m = 0;
-  for (const auto& tree : trees_) {
-    for (const VQuad& q : tree) {
-      m = std::max(m, ops_->level(q));
-    }
-  }
-  return m;
+  return std::visit([](const auto& f) { return f.max_level_used(); }, forest_);
 }
 
 void VForest::refine(bool recursive, const refine_fn& should_refine) {
-  const int dim = ops_->dim();
-  const int nc = 1 << dim;
-  const int max_level = ops_->max_level();
-  for (tree_id_t t = 0; t < num_trees(); ++t) {
-    auto& tree = trees_[static_cast<std::size_t>(t)];
-    std::vector<VQuad> out;
-    out.reserve(tree.size());
-    std::vector<VQuad> stack;
-    for (const VQuad& q : tree) {
-      if (ops_->level(q) >= max_level || !should_refine(t, q)) {
-        out.push_back(q);
-        continue;
-      }
-      stack.clear();
-      stack.push_back(q);
-      while (!stack.empty()) {
-        const VQuad cur = stack.back();
-        stack.pop_back();
-        const bool split =
-            ops_->level(cur) < max_level &&
-            (ops_->equal(cur, q) || (recursive && should_refine(t, cur)));
-        if (!split) {
-          out.push_back(cur);
-          continue;
-        }
-        for (int c = nc - 1; c >= 0; --c) {
-          stack.push_back(ops_->child(cur, c));
-        }
-      }
-    }
-    tree = std::move(out);
-  }
+  std::visit(
+      [&](auto& f) {
+        f.refine(recursive, [&](tree_id_t t, const auto& q) {
+          return should_refine(t, AdapterOf<decltype(f)>::box(q));
+        });
+      },
+      forest_);
 }
 
 void VForest::coarsen(bool recursive, const coarsen_fn& should_coarsen) {
-  const int nc = 1 << ops_->dim();
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (tree_id_t t = 0; t < num_trees(); ++t) {
-      auto& tree = trees_[static_cast<std::size_t>(t)];
-      std::vector<VQuad> out;
-      out.reserve(tree.size());
-      std::size_t i = 0;
-      while (i < tree.size()) {
-        if (is_family_at(tree, i) && should_coarsen(t, tree.data() + i)) {
-          out.push_back(ops_->parent(tree[i]));
-          i += static_cast<std::size_t>(nc);
-          changed = true;
-        } else {
-          out.push_back(tree[i]);
-          ++i;
-        }
-      }
-      tree = std::move(out);
-    }
-    if (!recursive) {
-      break;
-    }
-  }
-}
-
-bool VForest::is_family_at(const std::vector<VQuad>& tree,
-                           std::size_t i) const {
-  const int nc = 1 << ops_->dim();
-  if (i + static_cast<std::size_t>(nc) > tree.size()) {
-    return false;
-  }
-  const VQuad& first = tree[i];
-  if (ops_->level(first) == 0 || ops_->child_id(first) != 0) {
-    return false;
-  }
-  const VQuad p = ops_->parent(first);
-  for (int c = 1; c < nc; ++c) {
-    const VQuad& sib = tree[i + static_cast<std::size_t>(c)];
-    if (ops_->level(sib) != ops_->level(first) || ops_->child_id(sib) != c ||
-        !ops_->equal(ops_->parent(sib), p)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::optional<std::pair<tree_id_t, VQuad>> VForest::neighbor_at(
-    tree_id_t t, const VQuad& q, int dx, int dy, int dz) const {
-  CanonicalQuadrant c = ops_->canonical(q);
-  const std::int64_t h = std::int64_t{1} << (kCanonicalLevel - c.level);
-  const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
-  std::int64_t pos[3] = {c.x + dx * h, c.y + dy * h, c.z + dz * h};
-  int step[3] = {0, 0, 0};
-  for (int a = 0; a < ops_->dim(); ++a) {
-    if (pos[a] < 0) {
-      step[a] = -1;
-      pos[a] += root;
-    } else if (pos[a] >= root) {
-      step[a] = 1;
-      pos[a] -= root;
-    }
-  }
-  tree_id_t nt = t;
-  if (step[0] != 0 || step[1] != 0 || step[2] != 0) {
-    nt = conn_.tree_offset_neighbor(t, step[0], step[1], step[2]);
-    if (nt < 0) {
-      return std::nullopt;
-    }
-  }
-  return std::make_pair(
-      nt, ops_->from_canonical_quad({pos[0], pos[1], pos[2], c.level}));
-}
-
-std::optional<std::size_t> VForest::enclosing_leaf(tree_id_t t,
-                                                   const VQuad& q) const {
-  const auto& tree = trees_[static_cast<std::size_t>(t)];
-  const auto it = std::upper_bound(
-      tree.begin(), tree.end(), q,
-      [this](const VQuad& a, const VQuad& b) { return ops_->less(a, b); });
-  if (it == tree.begin()) {
-    return std::nullopt;
-  }
-  const auto idx = static_cast<std::size_t>(it - tree.begin()) - 1;
-  const VQuad& leaf = tree[idx];
-  if (ops_->equal(leaf, q) || ops_->is_ancestor(leaf, q)) {
-    return idx;
-  }
-  return std::nullopt;
-}
-
-void VForest::balance() {
-  const int dim = ops_->dim();
-  const int nc = 1 << dim;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    std::vector<std::vector<std::uint8_t>> split(trees_.size());
-    for (std::size_t t = 0; t < trees_.size(); ++t) {
-      split[t].assign(trees_[t].size(), 0);
-    }
-    const int zlo = dim == 3 ? -1 : 0, zhi = dim == 3 ? 1 : 0;
-    for (tree_id_t t = 0; t < num_trees(); ++t) {
-      for (const VQuad& q : trees_[static_cast<std::size_t>(t)]) {
-        const int lvl = ops_->level(q);
-        if (lvl < 2) {
-          continue;
-        }
-        for (int dz = zlo; dz <= zhi; ++dz) {
-          for (int dy = -1; dy <= 1; ++dy) {
-            for (int dx = -1; dx <= 1; ++dx) {
-              if (dx == 0 && dy == 0 && dz == 0) {
-                continue;
-              }
-              const auto nb = neighbor_at(t, q, dx, dy, dz);
-              if (!nb.has_value()) {
-                continue;
-              }
-              const auto idx = enclosing_leaf(nb->first, nb->second);
-              if (idx.has_value()) {
-                const VQuad& leaf =
-                    trees_[static_cast<std::size_t>(nb->first)][*idx];
-                if (ops_->level(leaf) < lvl - 1) {
-                  split[static_cast<std::size_t>(nb->first)][*idx] = 1;
-                }
-              }
-            }
+  std::visit(
+      [&](auto& f) {
+        using F = std::remove_cvref_t<decltype(f)>;
+        f.coarsen(recursive, [&](tree_id_t t, const typename F::quad_t* fam) {
+          std::array<VQuad, std::size_t{1} << F::dim> boxed;
+          for (std::size_t c = 0; c < boxed.size(); ++c) {
+            boxed[c] = AdapterOf<F>::box(fam[c]);
           }
-        }
-      }
-    }
-    for (std::size_t t = 0; t < trees_.size(); ++t) {
-      if (std::find(split[t].begin(), split[t].end(), 1) == split[t].end()) {
-        continue;
-      }
-      changed = true;
-      std::vector<VQuad> out;
-      out.reserve(trees_[t].size() + static_cast<std::size_t>(nc));
-      for (std::size_t i = 0; i < trees_[t].size(); ++i) {
-        if (!split[t][i]) {
-          out.push_back(trees_[t][i]);
-          continue;
-        }
-        for (int c = 0; c < nc; ++c) {
-          out.push_back(ops_->child(trees_[t][i], c));
-        }
-      }
-      trees_[t] = std::move(out);
-    }
-  }
+          return should_coarsen(t, boxed.data());
+        });
+      },
+      forest_);
 }
 
-bool VForest::is_balanced() const {
-  const int dim = ops_->dim();
-  const int zlo = dim == 3 ? -1 : 0, zhi = dim == 3 ? 1 : 0;
-  for (tree_id_t t = 0; t < num_trees(); ++t) {
-    for (const VQuad& q : trees_[static_cast<std::size_t>(t)]) {
-      const int lvl = ops_->level(q);
-      if (lvl < 2) {
-        continue;
-      }
-      for (int dz = zlo; dz <= zhi; ++dz) {
-        for (int dy = -1; dy <= 1; ++dy) {
-          for (int dx = -1; dx <= 1; ++dx) {
-            if (dx == 0 && dy == 0 && dz == 0) {
-              continue;
-            }
-            const auto nb = neighbor_at(t, q, dx, dy, dz);
-            if (!nb.has_value()) {
-              continue;
-            }
-            const auto idx = enclosing_leaf(nb->first, nb->second);
-            if (idx.has_value() &&
-                ops_->level(trees_[static_cast<std::size_t>(nb->first)]
-                                  [*idx]) < lvl - 1) {
-              return false;
-            }
-          }
-        }
-      }
-    }
-  }
-  return true;
+void VForest::balance(BalanceKind kind) {
+  std::visit([kind](auto& f) { f.balance(kind); }, forest_);
+}
+
+bool VForest::is_balanced(BalanceKind kind) const {
+  return std::visit([kind](const auto& f) { return f.is_balanced(kind); },
+                    forest_);
+}
+
+void VForest::search(const search_fn& cb) const {
+  std::visit(
+      [&](const auto& f) {
+        f.search([&](tree_id_t t, const auto& anc, std::size_t first,
+                     std::size_t last, bool is_leaf) {
+          return cb(t, AdapterOf<decltype(f)>::box(anc), first, last,
+                    is_leaf);
+        });
+      },
+      forest_);
 }
 
 std::vector<std::int64_t> VForest::search_points(
     const std::vector<PointQuery>& queries) const {
-  const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
-  const int dim = ops_->dim();
-  for (const PointQuery& p : queries) {
-    if (p.tree < 0 || p.tree >= num_trees() || p.x < 0 || p.x >= root ||
-        p.y < 0 || p.y >= root || p.z < 0 || p.z >= root ||
-        (dim == 2 && p.z != 0)) {
-      throw std::invalid_argument(
-          "VForest::search_points: query outside the domain");
-    }
-  }
-  // Global index = leaf position + exclusive prefix of tree sizes.
-  std::vector<std::int64_t> offsets(trees_.size() + 1, 0);
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    offsets[t + 1] = offsets[t] + static_cast<std::int64_t>(trees_[t].size());
-  }
-  // Group the query indices per tree without touching the input order.
-  std::vector<std::size_t> count(trees_.size() + 1, 0);
-  for (const PointQuery& p : queries) {
-    ++count[static_cast<std::size_t>(p.tree) + 1];
-  }
-  for (std::size_t t = 1; t < count.size(); ++t) {
-    count[t] += count[t - 1];
-  }
-  std::vector<std::size_t> order(queries.size());
-  {
-    std::vector<std::size_t> cursor(count.begin(), count.end() - 1);
-    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-      order[cursor[static_cast<std::size_t>(queries[qi].tree)]++] = qi;
-    }
-  }
-  // The point's max_level key: mask the coordinates down to max_level
-  // alignment (the containing leaf is the last leaf <= that key).
-  const std::int64_t mask =
-      ~((std::int64_t{1} << (kCanonicalLevel - ops_->max_level())) - 1);
-  std::vector<std::int64_t> out(queries.size(), -1);
-  std::vector<std::pair<VQuad, std::size_t>> pts;
-  for (std::size_t ti = 0; ti < trees_.size(); ++ti) {
-    const std::size_t b = count[ti];
-    const std::size_t e = count[ti + 1];
-    if (b == e) {
-      continue;
-    }
-    pts.clear();
-    pts.reserve(e - b);
-    for (std::size_t k = b; k < e; ++k) {
-      const PointQuery& p = queries[order[k]];
-      pts.emplace_back(ops_->from_canonical_quad({p.x & mask, p.y & mask,
-                                                  p.z & mask,
-                                                  ops_->max_level()}),
-                       order[k]);
-    }
-    std::sort(pts.begin(), pts.end(),
-              [this](const auto& x, const auto& y) {
-                return ops_->less(x.first, y.first);
-              });
-    const auto& tree = trees_[ti];
-    const auto n = static_cast<std::ptrdiff_t>(tree.size());
-    // Sorted-merge sweep: the last-leaf-<=-key cursor advances
-    // monotonically with the sorted keys.
-    std::ptrdiff_t j =
-        std::upper_bound(tree.begin(), tree.end(), pts.front().first,
-                         [this](const VQuad& a, const VQuad& b) {
-                           return ops_->less(a, b);
-                         }) -
-        tree.begin() - 1;
-    for (const auto& [key, qi] : pts) {
-      while (j + 1 < n && !ops_->less(key, tree[static_cast<std::size_t>(j + 1)])) {
-        ++j;
-      }
-      assert(j >= 0);
-      out[qi] = offsets[ti] + static_cast<std::int64_t>(j);
-    }
-  }
-  return out;
-}
-
-void VForest::search(const search_fn& cb) const {
-  for (tree_id_t t = 0; t < num_trees(); ++t) {
-    const auto& tree = trees_[static_cast<std::size_t>(t)];
-    if (!tree.empty()) {
-      search_recursion(t, ops_->root(), 0, tree.size(), cb);
-    }
-  }
-}
-
-void VForest::search_recursion(tree_id_t t, const VQuad& anc,
-                               std::size_t begin, std::size_t end,
-                               const search_fn& cb) const {
-  const auto& tree = trees_[static_cast<std::size_t>(t)];
-  const bool is_leaf = end - begin == 1 && ops_->equal(tree[begin], anc);
-  if (!cb(t, anc, begin, end, is_leaf) || is_leaf) {
-    return;
-  }
-  if (ops_->level(anc) >= ops_->max_level()) {
-    return;
-  }
-  std::size_t pos = begin;
-  for (int c = 0; c < (1 << ops_->dim()) && pos < end; ++c) {
-    const VQuad ch = ops_->child(anc, c);
-    const auto stop = static_cast<std::size_t>(
-        std::partition_point(
-            tree.begin() + static_cast<std::ptrdiff_t>(pos),
-            tree.begin() + static_cast<std::ptrdiff_t>(end),
-            [&](const VQuad& leaf) {
-              return ops_->equal(leaf, ch) || ops_->is_ancestor(ch, leaf);
-            }) -
-        tree.begin());
-    if (stop > pos) {
-      search_recursion(t, ch, pos, stop, cb);
-    }
-    pos = stop;
-  }
-}
-
-bool VForest::complete_range(const VQuad& anc, const VQuad* begin,
-                             const VQuad* end) const {
-  if (begin == end) {
-    return false;
-  }
-  if (end - begin == 1 && ops_->equal(*begin, anc)) {
-    return true;
-  }
-  if (ops_->level(anc) >= ops_->max_level()) {
-    return false;
-  }
-  const VQuad* pos = begin;
-  for (int c = 0; c < (1 << ops_->dim()); ++c) {
-    const VQuad ch = ops_->child(anc, c);
-    const VQuad* stop =
-        std::partition_point(pos, end, [&](const VQuad& leaf) {
-          return ops_->equal(leaf, ch) || ops_->is_ancestor(ch, leaf);
-        });
-    if (!complete_range(ch, pos, stop)) {
-      return false;
-    }
-    pos = stop;
-  }
-  return pos == end;
+  return std::visit(
+      [&](const auto& f) { return f.search_points(queries); }, forest_);
 }
 
 bool VForest::is_valid() const {
-  for (const auto& tree : trees_) {
-    if (tree.empty()) {
-      return false;
-    }
-    for (const VQuad& q : tree) {
-      if (!ops_->is_valid(q)) {
-        return false;
-      }
-    }
-    for (std::size_t i = 0; i + 1 < tree.size(); ++i) {
-      if (!ops_->less(tree[i], tree[i + 1])) {
-        return false;
-      }
-    }
-    if (!complete_range(ops_->root(), tree.data(),
-                        tree.data() + tree.size())) {
-      return false;
-    }
-  }
-  return true;
+  return std::visit([](const auto& f) { return f.is_valid(); }, forest_);
 }
 
 }  // namespace qforest

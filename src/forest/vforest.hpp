@@ -1,29 +1,43 @@
 #pragma once
 /// \file vforest.hpp
-/// \brief VForest: high-level AMR algorithms over the *runtime* virtual
-/// quadrant interface.
+/// \brief VForest: a Forest<R> whose quadrant representation and dimension
+/// are chosen at run time.
 ///
 /// The paper's conclusion describes "a new branch of high-level algorithms
 /// that operate on virtualized quadrants" so the representation becomes a
 /// run-time choice (configuration file, CLI flag) instead of a template
-/// parameter. VForest is that branch: a non-template forest working purely
-/// through VirtualQuadrantOps. It trades per-operation virtual dispatch
-/// (quantified by bench_virtual) for a single compiled instantiation.
+/// parameter. VForest makes that choice without a second set of
+/// algorithms: it holds one of the eight Forest<R> instantiations (four
+/// representations x two dimensions) in a std::variant and forwards every
+/// call to it, so refine, coarsen, balance, search and the checks are the
+/// template forest's own, batch kernels and chunk scheduling included.
+/// Only the callbacks cross the boundary: they receive quadrants boxed
+/// into VQuad (VirtualOpsAdapter<R>::box), which ops() interprets.
 ///
-/// The supported algorithm subset mirrors Forest<R>: uniform creation,
-/// refine, coarsen, 2:1 balance via the same neighborhood logic, search,
-/// and validity checking; test_vforest.cpp verifies it produces meshes
-/// canonically identical to the template forest.
+/// Differences from Forest<R>:
+/// - tree_quadrants(t) returns a boxed copy of the tree's leaves by value;
+///   the forest stores the representation's own quadrant type.
+/// - A coarsen callback receives a pointer to a boxed copy of the family
+///   (2^dim VQuads), valid only for the duration of the call.
+///
+/// Refine and coarsen callbacks follow the Forest<R> concurrency contract:
+/// they must be safe to invoke concurrently for different trees and for
+/// different leaf chunks of one tree (set_tree_parallelism(false) opts
+/// out). The search callback runs serially.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <stdexcept>
+#include <utility>
+#include <variant>
 #include <vector>
 
+#include "core/quadrant_avx.hpp"
+#include "core/quadrant_morton.hpp"
+#include "core/quadrant_std.hpp"
+#include "core/quadrant_wide.hpp"
 #include "core/virtual_ops.hpp"
-#include "forest/connectivity.hpp"
-#include "forest/point_query.hpp"
+#include "forest/forest.hpp"
 
 namespace qforest {
 
@@ -36,7 +50,8 @@ class VForest {
   using search_fn = std::function<bool(tree_id_t, const VQuad&, std::size_t,
                                        std::size_t, bool)>;
 
-  /// Uniformly refined forest with representation \p kind.
+  /// Uniformly refined forest with representation \p kind; the dimension
+  /// is the connectivity's.
   static VForest new_uniform(RepKind kind, Connectivity conn, int level);
 
   /// Root-only forest.
@@ -46,71 +61,51 @@ class VForest {
 
   [[nodiscard]] const VirtualQuadrantOps& ops() const { return *ops_; }
   [[nodiscard]] RepKind kind() const { return kind_; }
-  [[nodiscard]] const Connectivity& connectivity() const { return conn_; }
-  [[nodiscard]] tree_id_t num_trees() const {
-    return static_cast<tree_id_t>(trees_.size());
-  }
+  [[nodiscard]] const Connectivity& connectivity() const;
+  [[nodiscard]] tree_id_t num_trees() const;
   [[nodiscard]] std::int64_t num_quadrants() const;
-  [[nodiscard]] const std::vector<VQuad>& tree_quadrants(tree_id_t t) const {
-    return trees_[static_cast<std::size_t>(t)];
-  }
+  /// Boxed copy of the leaves of tree \p t in curve order.
+  [[nodiscard]] std::vector<VQuad> tree_quadrants(tree_id_t t) const;
   [[nodiscard]] int max_level_used() const;
 
-  /// p4est-style refinement; recursive re-examines children.
+  /// Forest<R>::refine: p4est-style refinement; recursive re-examines
+  /// children.
   void refine(bool recursive, const refine_fn& should_refine);
 
-  /// Replace accepted complete families by their parent.
+  /// Forest<R>::coarsen: replace accepted complete families by their
+  /// parent.
   void coarsen(bool recursive, const coarsen_fn& should_coarsen);
 
-  /// Enforce the 2:1 condition across faces/edges/corners.
-  void balance();
+  /// Forest<R>::balance: enforce the 2:1 condition across \p kind.
+  void balance(BalanceKind kind = BalanceKind::kFull);
 
-  /// Check the 2:1 condition.
-  [[nodiscard]] bool is_balanced() const;
+  /// Forest<R>::is_balanced: check the 2:1 condition across \p kind.
+  [[nodiscard]] bool is_balanced(BalanceKind kind = BalanceKind::kFull) const;
 
-  /// Top-down traversal with pruning.
+  /// Forest<R>::search: top-down traversal with pruning.
   void search(const search_fn& cb) const;
 
-  /// Batched point location: the global index of the leaf containing each
-  /// canonical query point (see point_query.hpp), in input order. Same
-  /// contract as Forest<R>::search_points — queries are grouped per tree,
-  /// sorted in curve order and resolved with one sorted-merge sweep, so m
-  /// points cost one sort plus one sweep instead of m binary searches.
+  /// Forest<R>::search_points: the global index of the leaf containing
+  /// each canonical query point (see point_query.hpp), in input order.
   /// Throws std::invalid_argument when a query lies outside the domain.
   [[nodiscard]] std::vector<std::int64_t> search_points(
       const std::vector<PointQuery>& queries) const;
 
-  /// Structural validation (sortedness, no overlap, completeness).
+  /// Forest<R>::is_valid: sortedness, no overlap, completeness.
   [[nodiscard]] bool is_valid() const;
 
  private:
-  VForest(RepKind kind, Connectivity conn);
+  using Forests =
+      std::variant<Forest<StandardRep<2>>, Forest<StandardRep<3>>,
+                   Forest<MortonRep<2>>, Forest<MortonRep<3>>,
+                   Forest<AvxRep<2>>, Forest<AvxRep<3>>,
+                   Forest<WideMortonRep<2>>, Forest<WideMortonRep<3>>>;
 
-  [[nodiscard]] bool leaf_less(const VQuad& a, const VQuad& b) const {
-    return ops_->less(a, b);
-  }
-
-  /// Same-level neighbor displaced by (dx,dy,dz); nullopt at the domain
-  /// boundary. Implemented via the exact canonical form, so it is valid
-  /// for every representation at every level.
-  [[nodiscard]] std::optional<std::pair<tree_id_t, VQuad>> neighbor_at(
-      tree_id_t t, const VQuad& q, int dx, int dy, int dz) const;
-
-  [[nodiscard]] std::optional<std::size_t> enclosing_leaf(
-      tree_id_t t, const VQuad& q) const;
-
-  bool is_family_at(const std::vector<VQuad>& tree, std::size_t i) const;
-
-  bool complete_range(const VQuad& anc, const VQuad* begin,
-                      const VQuad* end) const;
-
-  void search_recursion(tree_id_t t, const VQuad& anc, std::size_t begin,
-                        std::size_t end, const search_fn& cb) const;
+  VForest(RepKind kind, Forests forest);
 
   RepKind kind_;
   const VirtualQuadrantOps* ops_;
-  Connectivity conn_;
-  std::vector<std::vector<VQuad>> trees_;
+  Forests forest_;
 };
 
 }  // namespace qforest

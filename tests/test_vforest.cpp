@@ -2,6 +2,8 @@
 /// \brief The runtime-representation forest must reproduce the template
 /// forest's meshes exactly, for every representation kind.
 
+#include <atomic>
+
 #include <gtest/gtest.h>
 
 #include "core/algorithms.hpp"
@@ -74,10 +76,21 @@ TEST(VForest, RefineMatchesTemplateForest) {
 TEST(VForest, CoarsenInvertsRefine) {
   for (const RepKind kind : kAllKinds) {
     auto f = VForest::new_uniform(kind, Connectivity::unit(2), 3);
+    const auto& ops = f.ops();
     const std::int64_t before = f.num_quadrants();
     f.refine(false, [](tree_id_t, const VQuad&) { return true; });
     EXPECT_EQ(f.num_quadrants(), before * 4);
-    f.coarsen(false, [](tree_id_t, const VQuad*) { return true; });
+    // Every member of a family the callback sees has the same parent.
+    std::atomic<int> split_families{0};
+    f.coarsen(false, [&](tree_id_t, const VQuad* fam) {
+      for (int c = 1; c < 4; ++c) {
+        if (!ops.equal(ops.parent(fam[c]), ops.parent(fam[0]))) {
+          split_families.fetch_add(1);
+        }
+      }
+      return true;
+    });
+    EXPECT_EQ(split_families.load(), 0) << rep_kind_name(kind);
     EXPECT_EQ(f.num_quadrants(), before);
     EXPECT_TRUE(f.is_valid());
   }
