@@ -7,8 +7,11 @@
 /// representation is asked the same questions. After every step the four
 /// forests and the per-quadrant oracle (tests/forest_oracle.hpp) must
 /// agree on the canonical leaf sets and is_valid(), every rank's ghosts
-/// and mirrors, the face fingerprint, search_points and is_balanced. A
-/// failure names the seed and the step, which replay deterministically.
+/// and mirrors, the face fingerprint, search_points and is_balanced. One
+/// VForest per representation kind follows the refine, coarsen and
+/// balance steps through its run-time forwarding layer and must agree on
+/// the leaves, is_valid(), search_points and is_balanced. A failure names
+/// the seed and the step, which replay deterministically.
 
 #include <algorithm>
 #include <cstdint>
@@ -21,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "forest/forest.hpp"
+#include "forest/vforest.hpp"
 #include "forest_oracle.hpp"
 #include "helpers.hpp"
 #include "util/random.hpp"
@@ -109,34 +113,41 @@ void expect_same(const Snapshot& a, const Snapshot& b, const char* what) {
   EXPECT_EQ(a.balanced, b.balanced);
 }
 
+/// The refine step's decision for leaf \p c of tree \p t.
+bool refines(const Step& step, tree_id_t t, const CanonicalQuadrant& c) {
+  if (step.depth >= 0) {
+    const std::int64_t h = kRoot >> c.level;
+    const auto holds = [h](std::int64_t lo, std::int64_t p) {
+      return lo <= p && p < lo + h;
+    };
+    if (t == step.tree && c.level < step.depth && holds(c.x, step.at[0]) &&
+        holds(c.y, step.at[1]) && holds(c.z, step.at[2])) {
+      return true;
+    }
+  }
+  return c.level < step.max_level &&
+         mix(t, c, step.salt) % 100 <
+             static_cast<std::uint64_t>(step.percent);
+}
+
+/// The coarsen step's decision for the family of parent \p c in tree \p t.
+bool coarsens(const Step& step, tree_id_t t, const CanonicalQuadrant& c) {
+  return mix(t, c, step.salt) % 100 <
+         static_cast<std::uint64_t>(step.percent);
+}
+
 template <class R>
 void apply(Forest<R>& f, const Step& step) {
   using quad_t = typename R::quad_t;
   switch (step.kind) {
     case Step::Kind::kRefine:
       f.refine(step.recursive, [&step](tree_id_t t, const quad_t& q) {
-        const CanonicalQuadrant c = to_canonical<R>(q);
-        if (step.depth >= 0) {
-          const std::int64_t h = kRoot >> c.level;
-          const auto holds = [h](std::int64_t lo, std::int64_t p) {
-            return lo <= p && p < lo + h;
-          };
-          if (t == step.tree && c.level < step.depth &&
-              holds(c.x, step.at[0]) && holds(c.y, step.at[1]) &&
-              holds(c.z, step.at[2])) {
-            return true;
-          }
-        }
-        return c.level < step.max_level &&
-               mix(t, c, step.salt) % 100 <
-                   static_cast<std::uint64_t>(step.percent);
+        return refines(step, t, to_canonical<R>(q));
       });
       break;
     case Step::Kind::kCoarsen:
       f.coarsen(step.recursive, [&step](tree_id_t t, const quad_t* fam) {
-        const CanonicalQuadrant c = to_canonical<R>(R::parent(fam[0]));
-        return mix(t, c, step.salt) % 100 <
-               static_cast<std::uint64_t>(step.percent);
+        return coarsens(step, t, to_canonical<R>(R::parent(fam[0])));
       });
       break;
     case Step::Kind::kBalance:
@@ -155,6 +166,53 @@ void apply(Forest<R>& f, const Step& step) {
       f.set_num_ranks(step.ranks);
       break;
   }
+}
+
+/// The same step on a VForest. Partition, weighted-partition and
+/// set_num_ranks steps leave the leaves unchanged, and a VForest has no
+/// ranks, so it skips them.
+void apply(VForest& f, const Step& step) {
+  const VirtualQuadrantOps& ops = f.ops();
+  switch (step.kind) {
+    case Step::Kind::kRefine:
+      f.refine(step.recursive, [&](tree_id_t t, const VQuad& q) {
+        return refines(step, t, ops.canonical(q));
+      });
+      break;
+    case Step::Kind::kCoarsen:
+      f.coarsen(step.recursive, [&](tree_id_t t, const VQuad* fam) {
+        return coarsens(step, t, ops.canonical(ops.parent(fam[0])));
+      });
+      break;
+    case Step::Kind::kBalance:
+      f.balance(step.balance);
+      break;
+    default:
+      break;
+  }
+}
+
+/// The parts of \p reference a VForest can show: leaves, is_valid(),
+/// search_points and is_balanced for every kind.
+void expect_same(const VForest& f, const std::vector<PointQuery>& pts,
+                 const Snapshot& reference) {
+  SCOPED_TRACE(::testing::Message() << "VForest " << rep_kind_name(f.kind()));
+  std::vector<std::vector<CanonicalQuadrant>> leaves;
+  for (tree_id_t t = 0; t < f.num_trees(); ++t) {
+    auto& out = leaves.emplace_back();
+    for (const VQuad& q : f.tree_quadrants(t)) {
+      out.push_back(f.ops().canonical(q));
+    }
+  }
+  ASSERT_EQ(leaves, reference.leaves);
+  EXPECT_EQ(f.is_valid(), reference.valid);
+  EXPECT_EQ(f.search_points(pts), reference.points);
+  std::vector<bool> balanced;
+  for (const BalanceKind kind :
+       {BalanceKind::kFace, BalanceKind::kEdge, BalanceKind::kFull}) {
+    balanced.push_back(f.is_balanced(kind));
+  }
+  EXPECT_EQ(balanced, reference.balanced);
 }
 
 template <int Dim>
@@ -194,6 +252,11 @@ void run_sequence(std::uint64_t seed, int steps) {
       Forest<MortonRep<Dim>>::new_uniform(conn, base, ranks),
       Forest<AvxRep<Dim>>::new_uniform(conn, base, ranks),
       Forest<WideMortonRep<Dim>>::new_uniform(conn, base, ranks)};
+  std::vector<VForest> vforests;
+  for (const RepKind kind : {RepKind::kStandard, RepKind::kMorton,
+                             RepKind::kAvx, RepKind::kWideMorton}) {
+    vforests.push_back(VForest::new_uniform(kind, conn, base));
+  }
   const auto coordinate = [&]() -> std::int64_t {
     if (rng.next_bool(0.5)) {
       return static_cast<std::int64_t>(
@@ -261,6 +324,9 @@ void run_sequence(std::uint64_t seed, int steps) {
     SCOPED_TRACE(::testing::Message()
                  << "step " << k << " kind " << static_cast<int>(step.kind));
     std::apply([&](auto&... f) { (apply(f, step), ...); }, forests);
+    for (VForest& f : vforests) {
+      apply(f, step);
+    }
     const Snapshot reference = snapshot(std::get<0>(forests), pts, true);
     ASSERT_TRUE(reference.valid);
     std::apply(
@@ -270,6 +336,9 @@ void run_sequence(std::uint64_t seed, int steps) {
            ...);
         },
         forests);
+    for (const VForest& f : vforests) {
+      expect_same(f, pts, reference);
+    }
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
