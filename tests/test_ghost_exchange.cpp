@@ -122,6 +122,54 @@ TEST(GhostExchange, ReshardedForestStaysConsistent) {
       EXPECT_EQ(res.payloads[r], ref[r]);
     }
   }
+
+  // Fewer leaves than ranks: a two-tree brick with one tree refined once
+  // (5 leaves) re-sharded to 8 ranks leaves 3 ranks empty. Refine, balance
+  // and coarsen run on it; after each the partition stays contiguous, the
+  // exchange stays exact in both overlap orders, and an empty rank gets
+  // an empty buffer.
+  auto g = make_payload_forest<S2>(Connectivity::brick2d(2, 1), 0, 1);
+  ASSERT_EQ(g.num_quadrants(), 5);
+  g.set_num_ranks(8);
+  const auto check = [&g](const char* after, int want_empty) {
+    SCOPED_TRACE(after);
+    ASSERT_TRUE(g.is_valid());
+    int empty = 0;
+    gidx_t next = 0;
+    for (int r = 0; r < g.num_ranks(); ++r) {
+      const auto [first, last] = g.rank_range(r);
+      EXPECT_EQ(first, next) << "rank " << r;
+      EXPECT_LE(first, last) << "rank " << r;
+      next = last;
+      empty += first == last ? 1 : 0;
+    }
+    EXPECT_EQ(next, g.num_quadrants());
+    EXPECT_EQ(empty, want_empty);
+    expect_exchange_matches_reference(g);
+    const auto ghosts = all_ghosts(g);
+    const GhostExchangeResult res = exchange_ghost_payloads(g, ghosts);
+    for (int r = 0; r < g.num_ranks(); ++r) {
+      const auto [first, last] = g.rank_range(r);
+      if (first == last) {
+        EXPECT_TRUE(res.payloads[static_cast<std::size_t>(r)].empty())
+            << "rank " << r;
+      }
+    }
+  };
+  check("set_num_ranks", 3);
+  // Tree 0's level-1 leaf on its +x face splits: 8 leaves, one per rank.
+  g.refine(false, [](tree_id_t t, const S2::quad_t& q) {
+    return t == 0 && S2::level(q) == 1 && S2::level_index(q) == 1;
+  });
+  check("refine", 0);
+  // Tree 1's root faces those level-2 leaves across the tree face.
+  g.balance();
+  ASSERT_EQ(g.num_quadrants(), 11);
+  check("balance", 0);
+  // Back to the two roots: 6 empty ranks.
+  g.coarsen(true, [](tree_id_t, const S2::quad_t*) { return true; });
+  ASSERT_EQ(g.num_quadrants(), 2);
+  check("coarsen", 6);
 }
 
 TEST(GhostExchange, HooksRunOncePerRankInOverlapOrder) {
