@@ -2,12 +2,13 @@
 /// \file canonical.hpp
 /// \brief Representation-independent canonical quadrant form + conversions.
 ///
-/// Each representation scales coordinates to its own maximum level L (29,
-/// 18/28, 30, 40/60 — see DESIGN.md §5). The canonical form rescales all
-/// of them to one fixed 2^60 grid so quadrants from different encodings can
-/// be compared, converted, and property-tested for logical equivalence:
-/// two quadrants are *the same* mesh primitive iff their canonical forms
-/// are equal.
+/// Each representation scales coordinates to its own maximum level L
+/// (R::max_level: standard 29, Morton 18/28 in 3D/2D, AVX 30, wide-Morton
+/// 40/60), set by how many coordinate or index bits its encoding keeps.
+/// The canonical form rescales all of them to one fixed 2^60 grid so
+/// quadrants from different encodings can be compared, converted, and
+/// property-tested for logical equivalence: two quadrants are *the same*
+/// mesh primitive iff their canonical forms are equal.
 
 #include <cassert>
 #include <cstdint>

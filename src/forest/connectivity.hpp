@@ -8,8 +8,9 @@
 /// axis), which covers the unit cube, rectangular channels, periodic tori
 /// and every workload used in the paper and in our examples. Face
 /// connections carry no rotation: the neighbor across face f adjoins
-/// through its face f^1 with identity orientation (p4est's general
-/// corner/orientation codes are out of scope; see DESIGN.md §2).
+/// through its face f^1 with identity orientation. p4est's general
+/// corner/orientation codes are out of scope: no workload here needs a
+/// rotated tree, and every brick face pairs f with f^1.
 
 #include <array>
 #include <cstdint>

@@ -13,7 +13,8 @@
 ///
 /// Parallel semantics: the forest holds the global leaf sequence in shared
 /// memory and maintains a partition of the global Morton order into
-/// contiguous rank ranges (DESIGN.md §4 explains this MPI substitution).
+/// contiguous rank ranges (ARCHITECTURE.md, "The distributed layer",
+/// explains this MPI substitution).
 ///
 /// Bulk quadrant production (refine waves, coarsen family sweeps, balance
 /// splitting) never calls the scalar per-quadrant ops directly: marked

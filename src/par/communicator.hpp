@@ -1,6 +1,7 @@
 #pragma once
 /// \file communicator.hpp
-/// \brief Simulated MPI communicator (substitution substrate, DESIGN.md §4).
+/// \brief Simulated MPI communicator (the in-process substitute for MPI;
+/// ARCHITECTURE.md, "The distributed layer").
 ///
 /// The paper benchmarks on up to 512 MPI cores. This container has no MPI;
 /// we reproduce the *semantics* the AMR algorithms rely on — rank counts,
