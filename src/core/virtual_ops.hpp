@@ -9,7 +9,13 @@
 /// QuadrantRepresentation concept but operate on an opaque fixed-size
 /// value type, so the encoding can be chosen at run time (e.g. from a
 /// configuration file). The cost of the indirection relative to
-/// compile-time traits is quantified by bench/bench_virtual.
+/// compile-time traits is quantified by bench/bench_virtual on the paper's
+/// op workload.
+///
+/// VForest (forest/vforest.hpp) does not run its algorithms through these
+/// ops: it holds a Forest<R> and only boxes the quadrants it hands to
+/// callbacks (VirtualOpsAdapter<R>::box), which then interpret them
+/// through ops().
 
 #include <cstddef>
 #include <cstdint>

@@ -1,7 +1,7 @@
 #pragma once
 /// \file point_query.hpp
-/// \brief PointQuery: one point of a batched multi-point search, shared by
-/// Forest<R>::search_points and the VForest facade.
+/// \brief PointQuery: one point of a batched multi-point search
+/// (Forest<R>::search_points, which VForest::search_points forwards to).
 
 #include <cstdint>
 
