@@ -61,30 +61,18 @@ class VirtualQuadrantOps {
 
   [[nodiscard]] virtual VQuad root() const = 0;
   [[nodiscard]] virtual int level(const VQuad& q) const = 0;
-  [[nodiscard]] virtual VQuad from_coords(coord_t x, coord_t y, coord_t z,
-                                          int lvl) const = 0;
-  virtual void to_coords(const VQuad& q, coord_t& x, coord_t& y, coord_t& z,
-                         int& lvl) const = 0;
   [[nodiscard]] virtual VQuad morton_quadrant(morton_t il, int lvl) const = 0;
   [[nodiscard]] virtual morton_t level_index(const VQuad& q) const = 0;
 
-  /// Exact representation-independent form (valid for every level of
-  /// every encoding, unlike the 32-bit to_coords interface).
+  /// Exact representation-independent form, valid for every level of
+  /// every encoding.
   [[nodiscard]] virtual CanonicalQuadrant canonical(const VQuad& q) const = 0;
-  /// Inverse of canonical(); the canonical coordinates must be aligned to
-  /// this representation's grid.
-  [[nodiscard]] virtual VQuad from_canonical_quad(
-      const CanonicalQuadrant& c) const = 0;
 
   [[nodiscard]] virtual VQuad child(const VQuad& q, int c) const = 0;
   [[nodiscard]] virtual VQuad parent(const VQuad& q) const = 0;
   [[nodiscard]] virtual VQuad sibling(const VQuad& q, int s) const = 0;
-  [[nodiscard]] virtual VQuad successor(const VQuad& q) const = 0;
-  [[nodiscard]] virtual VQuad predecessor(const VQuad& q) const = 0;
-  [[nodiscard]] virtual VQuad ancestor(const VQuad& q, int lvl) const = 0;
   [[nodiscard]] virtual int child_id(const VQuad& q) const = 0;
 
-  [[nodiscard]] virtual VQuad face_neighbor(const VQuad& q, int f) const = 0;
   virtual void tree_boundaries(const VQuad& q, int* out) const = 0;
 
   [[nodiscard]] virtual bool equal(const VQuad& a, const VQuad& b) const = 0;
@@ -129,14 +117,6 @@ class VirtualOpsAdapter final : public VirtualQuadrantOps {
   [[nodiscard]] int level(const VQuad& q) const override {
     return R::level(unbox(q));
   }
-  [[nodiscard]] VQuad from_coords(coord_t x, coord_t y, coord_t z,
-                                  int lvl) const override {
-    return box(R::from_coords(x, y, z, lvl));
-  }
-  void to_coords(const VQuad& q, coord_t& x, coord_t& y, coord_t& z,
-                 int& lvl) const override {
-    R::to_coords(unbox(q), x, y, z, lvl);
-  }
   [[nodiscard]] VQuad morton_quadrant(morton_t il, int lvl) const override {
     return box(R::morton_quadrant(il, lvl));
   }
@@ -146,10 +126,6 @@ class VirtualOpsAdapter final : public VirtualQuadrantOps {
 
   [[nodiscard]] CanonicalQuadrant canonical(const VQuad& q) const override {
     return to_canonical<R>(unbox(q));
-  }
-  [[nodiscard]] VQuad from_canonical_quad(
-      const CanonicalQuadrant& c) const override {
-    return box(from_canonical<R>(c));
   }
 
   [[nodiscard]] VQuad child(const VQuad& q, int c) const override {
@@ -161,22 +137,10 @@ class VirtualOpsAdapter final : public VirtualQuadrantOps {
   [[nodiscard]] VQuad sibling(const VQuad& q, int s) const override {
     return box(R::sibling(unbox(q), s));
   }
-  [[nodiscard]] VQuad successor(const VQuad& q) const override {
-    return box(R::successor(unbox(q)));
-  }
-  [[nodiscard]] VQuad predecessor(const VQuad& q) const override {
-    return box(R::predecessor(unbox(q)));
-  }
-  [[nodiscard]] VQuad ancestor(const VQuad& q, int lvl) const override {
-    return box(R::ancestor(unbox(q), lvl));
-  }
   [[nodiscard]] int child_id(const VQuad& q) const override {
     return R::child_id(unbox(q));
   }
 
-  [[nodiscard]] VQuad face_neighbor(const VQuad& q, int f) const override {
-    return box(R::face_neighbor(unbox(q), f));
-  }
   void tree_boundaries(const VQuad& q, int* out) const override {
     R::tree_boundaries(unbox(q), out);
   }
