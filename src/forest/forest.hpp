@@ -38,10 +38,10 @@
 /// R::less only for two keys deeper than K in one level-K cell; the
 /// public API (RepLess, find_enclosing_leaf) and is_valid() stay on
 /// R::less. The rank adjacency (every rank's ghosts and mirrors) is built
-/// lazily, by one sweep over all leaves on the first ghost_layer /
-/// mirrors / rank_work_split after a change of the mesh or of the
-/// partition; reindex() and every repartition drop it, and a copy of the
-/// forest starts without it.
+/// lazily, by one sweep over the leaves a leaf of another rank could
+/// touch, on the first ghost_layer / mirrors / rank_work_split after a
+/// change of the mesh or of the partition; reindex() and every
+/// repartition drop it, and a copy of the forest starts without it.
 ///
 /// Scheduling is two-level: the per-tree outer loops of the adaptation
 /// algorithms run on the shared forest thread pool (level 1), and within
@@ -75,6 +75,7 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -319,6 +320,22 @@ inline constexpr int kCurveKeyLevel = Dim == 3 ? 19 : 29;
 /// Bits of the level field at the bottom of a curve key.
 inline constexpr int kCurveKeyLevelBits = 5;
 
+/// Morton index, on the level-K grid, of the cell holding the canonical
+/// point (x, y, z).
+template <int Dim>
+std::uint64_t curve_cell(std::int64_t x, std::int64_t y, std::int64_t z) {
+  constexpr int down = kCanonicalLevel - kCurveKeyLevel<Dim>;
+  if constexpr (Dim == 3) {
+    return bits::interleave3(static_cast<std::uint32_t>(x >> down),
+                             static_cast<std::uint32_t>(y >> down),
+                             static_cast<std::uint32_t>(z >> down));
+  } else {
+    (void)z;
+    return bits::interleave2(static_cast<std::uint32_t>(x >> down),
+                             static_cast<std::uint32_t>(y >> down));
+  }
+}
+
 /// The 64-bit curve key of \p q: the Morton index of its lower corner on
 /// the level-K grid, shifted left by kCurveKeyLevelBits and OR-ed with
 /// min(level, K). Keys order quadrants as R::less does, ancestors first,
@@ -346,18 +363,8 @@ std::uint64_t curve_key(const typename R::quad_t& q) {
              level;
     }
   } else {
-    constexpr int down = kCanonicalLevel - k;
     const CanonicalQuadrant c = to_canonical<R>(q);
-    std::uint64_t index = 0;
-    if constexpr (d == 3) {
-      index = bits::interleave3(static_cast<std::uint32_t>(c.x >> down),
-                                static_cast<std::uint32_t>(c.y >> down),
-                                static_cast<std::uint32_t>(c.z >> down));
-    } else {
-      index = bits::interleave2(static_cast<std::uint32_t>(c.x >> down),
-                                static_cast<std::uint32_t>(c.y >> down));
-    }
-    return index << kCurveKeyLevelBits | level;
+    return curve_cell<d>(c.x, c.y, c.z) << kCurveKeyLevelBits | level;
   }
 }
 
@@ -751,10 +758,10 @@ class Forest {
   /// Remote leaves adjacent (faces, edges and corners) to \p rank's own.
   ///
   /// A slice of the rank adjacency (build_adjacency): one neighbor_sweep
-  /// over every leaf — the same sweep as the balance mark phase — made on
-  /// the first read after the mesh or the partition changed and shared by
-  /// every rank's ghost_layer, mirrors and rank_work_split until the next
-  /// change.
+  /// over the leaves a leaf of another rank could touch — the same sweep
+  /// as the balance mark phase — made on the first read after the mesh or
+  /// the partition changed and shared by every rank's ghost_layer,
+  /// mirrors and rank_work_split until the next change.
   [[nodiscard]] GhostLayer<R> ghost_layer(int rank) const {
     const std::span<const gidx_t> seen = adjacency().ghosts.of(rank);
     GhostLayer<R> ghost;
@@ -2101,7 +2108,8 @@ class Forest {
   /// The one neighbor-key sweep behind the balance mark phase, the
   /// ghost/mirror scan and face iteration. For every leaf of level >=
   /// \p min_level in the sorted, disjoint global ranges \p sources (one
-  /// range for the whole forest; a balance frontier passes many)
+  /// range for the whole forest; a balance frontier and the rank
+  /// adjacency's sources, the leaves near a rank boundary, pass many)
   /// and every displacement of \p offsets it produces the same-level
   /// neighbor key and resolves it to j, the index of the last leaf <= key
   /// in the key's tree (-1: none) — the key's enclosing leaf when it has
@@ -2431,24 +2439,173 @@ class Forest {
     return adjacency_.get([this] { return build_adjacency(); });
   }
 
-  /// The rank adjacency from one neighbor_sweep over every leaf with the
-  /// kFull offsets. A key touches its enclosing leaf, or else those of its
+  /// The leaves that some leaf of another rank could touch, in sorted
+  /// global ranges: the sources of the adjacency sweep. Leaf s (side h,
+  /// lower corner c, rank r) is skipped when its rank owns every leaf its
+  /// kFull neighborhood, the box [c - h, c + 2h) on each axis, can meet
+  /// (p4est_comm_neighborhood_owned's test):
+  ///   - the box is clipped at the tree's faces. A tree it reaches across a
+  ///     face, edge or corner (a periodic wrap back into the source tree
+  ///     included) must be r's whole;
+  ///   - inside the tree, the level-K cells of the clipped box's lowest and
+  ///     highest points must lie between the leaf just before r's range in
+  ///     this tree, which must end at or before the first cell, and the
+  ///     leaf just after it, which must start past the second. A leaf
+  ///     deeper than K counts as its whole level-K cell, so a rank
+  ///     boundary inside a cell keeps s.
+  /// Morton order is monotone in each coordinate, so every cell of the box
+  /// lies between its two corner cells along the curve, and a leaf that
+  /// touches s meets the box, hence belongs to r. A skipped leaf would
+  /// emit no hit, and no leaf of another rank touches it. An invalid leaf,
+  /// and one whose test meets an invalid leaf, is a source. One
+  /// chunk-parallel pass on the forest pool, with one owner lookup per
+  /// chunk.
+  [[nodiscard]] LeafRanges adjacency_sources() const {
+    constexpr int k = kCurveKeyLevel<dim>;
+    const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
+    const std::uint64_t all_cells = std::uint64_t{1} << (dim * k);
+    const std::uint64_t level_bits =
+        (std::uint64_t{1} << kCurveKeyLevelBits) - 1;
+    const std::size_t grain = chunk_grain();
+    std::vector<std::vector<LeafRanges>> found(trees_.size());
+    parallel_over(trees_.size(), [&](std::size_t ti) {
+      const auto t = static_cast<tree_id_t>(ti);
+      const auto& tree = trees_[ti];
+      const auto& keys = keys_[ti];
+      const std::size_t n = tree.size();
+      const gidx_t base = tree_offsets_[ti];
+      found[ti].resize(batch::chunk_count(n, grain));
+      parallel_chunks(n, grain,
+                      [&](std::size_t c, std::size_t b, std::size_t e) {
+        LeafRanges& mine = found[ti][c];
+        int rank = owner_rank(base + static_cast<gidx_t>(b));
+        gidx_t first = 0;
+        gidx_t last = 0;
+        std::uint64_t cells_lo = 0;  // the first cell past the leaves before
+        std::uint64_t cells_hi = 0;  // the first cell of the leaves after
+        // r's local range [a, z) in this tree is bounded by leaves a - 1
+        // and z. A key holds min(level, K) in its low bits, so a leaf
+        // deeper than K ends one cell past its own.
+        const auto enter = [&] {
+          std::tie(first, last) = rank_range(rank);
+          const auto a =
+              static_cast<std::size_t>(std::max(first, base) - base);
+          const auto z = static_cast<std::size_t>(
+              std::min(last, base + static_cast<gidx_t>(n)) - base);
+          cells_lo = 0;
+          if (a > 0) {
+            const std::uint64_t before = keys[a - 1];
+            const auto level = static_cast<int>(before & level_bits);
+            cells_lo = before == kNoKey
+                           ? all_cells
+                           : (before >> kCurveKeyLevelBits) +
+                                 (std::uint64_t{1} << (dim * (k - level)));
+          }
+          cells_hi = all_cells;
+          if (z < n) {
+            cells_hi = keys[z] == kNoKey ? 0 : keys[z] >> kCurveKeyLevelBits;
+          }
+        };
+        enter();
+        const auto owns_tree = [&](tree_id_t other) {
+          const auto o = static_cast<std::size_t>(other);
+          return tree_offsets_[o] >= first && tree_offsets_[o + 1] <= last;
+        };
+        const auto is_source = [&](std::size_t i) {
+          if (keys[i] == kNoKey) {
+            return true;
+          }
+          const CanonicalQuadrant q = to_canonical<R>(tree[i]);
+          const std::int64_t h = root >> q.level;
+          const std::int64_t pos[3] = {q.x, q.y, q.z};
+          std::int64_t lo[3] = {0, 0, 0};  // the clipped box's lowest point
+          std::int64_t hi[3] = {0, 0, 0};  // and its highest
+          int lo_step[3] = {0, 0, 0};
+          int hi_step[3] = {0, 0, 0};
+          for (int a = 0; a < dim; ++a) {
+            lo[a] = pos[a] - h;
+            hi[a] = pos[a] + 2 * h - 1;
+            lo_step[a] = lo[a] < 0 ? -1 : 0;
+            hi_step[a] = hi[a] >= root ? 1 : 0;
+            lo[a] = std::max<std::int64_t>(lo[a], 0);
+            hi[a] = std::min(hi[a], root - 1);
+          }
+          if (curve_cell<dim>(lo[0], lo[1], lo[2]) < cells_lo ||
+              curve_cell<dim>(hi[0], hi[1], hi[2]) >= cells_hi) {
+            return true;
+          }
+          for (int dz = lo_step[2]; dz <= hi_step[2]; ++dz) {
+            for (int dy = lo_step[1]; dy <= hi_step[1]; ++dy) {
+              for (int dx = lo_step[0]; dx <= hi_step[0]; ++dx) {
+                if (dx == 0 && dy == 0 && dz == 0) {
+                  continue;
+                }
+                const tree_id_t other =
+                    conn_.tree_offset_neighbor(t, dx, dy, dz);
+                if (other >= 0 && !owns_tree(other)) {
+                  return true;
+                }
+              }
+            }
+          }
+          return false;
+        };
+        for (std::size_t i = b; i < e; ++i) {
+          const gidx_t g = base + static_cast<gidx_t>(i);
+          if (g >= last) {
+            while (g >= rank_range(rank).second) {
+              ++rank;
+            }
+            enter();
+          }
+          if (!is_source(i)) {
+            continue;
+          }
+          if (!mine.empty() && mine.back().second == g) {
+            ++mine.back().second;
+          } else {
+            mine.emplace_back(g, g + 1);
+          }
+        }
+      });
+    });
+    LeafRanges sources;
+    for (const auto& per_chunk : found) {
+      for (const LeafRanges& part : per_chunk) {
+        sources.insert(sources.end(), part.begin(), part.end());
+      }
+    }
+    return sources;
+  }
+
+  /// The rank adjacency from one neighbor_sweep with the kFull offsets
+  /// over the adjacency_sources, the leaves some leaf of another rank
+  /// could touch. A key touches its enclosing leaf, or else those of its
   /// finer descendants that touch the source leaf. When source s touches
   /// leaf t of another rank, t is a ghost of owner(s) and s a mirror of
-  /// it; every leaf is a source, so each touching pair is seen from both
+  /// it; t is then a source too, so each touching pair is seen from both
   /// sides. Mirrors are marked in a per-leaf byte map; the sweep pushes
   /// only the ghost hits, each as the two entries (owner(s), t), and a
   /// counting pass by rank lays them out flat.
   [[nodiscard]] RankAdjacency build_adjacency() const {
     obs::TraceSpan span("forest", "adjacency_scan");
     static obs::Counter& c_builds = obs::counter("forest.adjacency.builds");
+    static obs::Counter& c_swept =
+        obs::counter("forest.adjacency.swept_leaves");
     c_builds.add(1);
     const gidx_t n = num_quadrants();
     span.arg("range", static_cast<std::int64_t>(n));
+    const LeafRanges sources = adjacency_sources();
+    gidx_t swept = 0;
+    for (const auto& [a, b] : sources) {
+      swept += b - a;
+    }
+    c_swept.add(static_cast<std::uint64_t>(swept));
+    span.arg("swept", static_cast<std::int64_t>(swept));
     const auto offsets = neighbor_offsets(BalanceKind::kFull);
     std::vector<std::uint8_t> mirror(static_cast<std::size_t>(n), 0);
     const std::vector<gidx_t> hits = neighbor_sweep<SweepSource>(
-        {{0, n}}, offsets, 0,
+        sources, offsets, 0,
         [&](std::vector<gidx_t>& out, std::size_t ti, std::ptrdiff_t j,
             const quad_t& key, const SweepSource& from) {
           const gidx_t s = global_index(from.tree, from.leaf);

@@ -8,7 +8,8 @@
 /// must match the oracle after every kind of mesh change and never build a
 /// grid themselves. Every rank's ghosts and mirrors come from one lazily
 /// built rank adjacency: one build per mesh version and partition, safe
-/// under concurrent cold reads, correct for ranks that own no leaf.
+/// under concurrent cold reads, correct for ranks that own no leaf, and
+/// sweeping only the leaves a leaf of another rank could touch.
 
 #include <algorithm>
 #include <cstdint>
@@ -451,6 +452,142 @@ TYPED_TEST(ReadPathsT, RanksWithoutLeavesHaveNoAdjacency) {
   const auto want = adjacency_sets(f, true);
   EXPECT_EQ(got.first, want.first);
   EXPECT_EQ(got.second, want.second);
+}
+
+// ------------------------------------------- the adjacency sweep's sources
+
+/// Leaves swept by the rank adjacency build of a copy of \p f (a copy
+/// starts without the adjacency, so its first read builds it).
+template <class R>
+std::uint64_t swept_leaves(const Forest<R>& f) {
+  const test::MetricsOn metrics;
+  const obs::Counter& swept = obs::counter("forest.adjacency.swept_leaves");
+  const Forest<R> fresh = f;
+  const std::uint64_t before = swept.value();
+  (void)fresh.ghost_layer(0);
+  return swept.value() - before;
+}
+
+/// One rank owns every leaf's neighborhood: the build sweeps nothing and
+/// the adjacency is empty, on periodic bricks too.
+TYPED_TEST(ReadPathsT, OneRankSweepsNoLeaf) {
+  using R = TypeParam;
+  for (const auto& [conn, base] : brick_meshes<R>()) {
+    const auto f = make_refined<R>(conn, base, 1);
+    EXPECT_EQ(swept_leaves(f), 0u) << R::name;
+    EXPECT_TRUE(f.ghost_layer(0).entries.empty()) << R::name;
+    EXPECT_TRUE(f.mirrors(0).empty()) << R::name;
+    expect_ghost_parity(f);
+  }
+}
+
+/// A uniform mesh refined two levels deeper where it touches the plane
+/// x = 1/2, so fine and coarse leaves meet along a band.
+template <class R>
+Forest<R> band_forest(int base, int ranks) {
+  auto f = Forest<R>::new_uniform(Connectivity::unit(R::dim), base, ranks);
+  const std::int64_t half = std::int64_t{1} << (kCanonicalLevel - 1);
+  f.refine(true, [base, half](tree_id_t, const typename R::quad_t& q) {
+    const CanonicalQuadrant c = to_canonical<R>(q);
+    const std::int64_t h = std::int64_t{1} << (kCanonicalLevel - c.level);
+    return c.level < base + 2 && c.x <= half && half <= c.x + h;
+  });
+  f.partition();
+  return f;
+}
+
+/// Leaves whose neighborhood their own rank owns are not swept, and the
+/// ghosts and mirrors still match the oracle's.
+TYPED_TEST(ReadPathsT, BandMeshSweepsOnlyRankBoundaryLeaves) {
+  using R = TypeParam;
+  const auto f = band_forest<R>(R::dim == 3 ? 2 : 3, 4);
+  const std::uint64_t swept = swept_leaves(f);
+  EXPECT_GT(swept, 0u) << R::name;
+  EXPECT_LT(swept, static_cast<std::uint64_t>(f.num_quadrants())) << R::name;
+  expect_ghost_parity(f);
+}
+
+/// Neighborhoods that leave the tree: on a periodic unit cube they wrap
+/// back into the source tree; on a 2x2(x2) brick whose ranks own whole
+/// trees they reach trees of the same rank and of others.
+TYPED_TEST(ReadPathsT, SourcesAcrossTreesMatchOracle) {
+  using R = TypeParam;
+  const auto periodic =
+      R::dim == 2 ? Connectivity::brick2d(1, 1, true, true)
+                  : Connectivity::brick3d(1, 1, 1, true, true, true);
+  const auto cube = make_refined<R>(periodic, 3, 3);
+  EXPECT_LT(swept_leaves(cube),
+            static_cast<std::uint64_t>(cube.num_quadrants()))
+      << R::name;
+  expect_ghost_parity(cube);
+
+  const auto brick = Forest<R>::new_uniform(
+      R::dim == 2 ? Connectivity::brick2d(2, 2)
+                  : Connectivity::brick3d(2, 2, 2),
+      R::dim == 3 ? 2 : 3, 2 * (R::dim - 1));
+  for (int r = 0; r < brick.num_ranks(); ++r) {
+    ASSERT_EQ(brick.rank_range(r).first,
+              brick.global_index(static_cast<tree_id_t>(2 * r), 0));
+  }
+  EXPECT_LT(swept_leaves(brick),
+            static_cast<std::uint64_t>(brick.num_quadrants()))
+      << R::name;
+  expect_ghost_parity(brick);
+}
+
+/// Representations deeper than K: a chain refined to level K + 2 at the
+/// center puts several leaves into one level-K cell (they share a curve
+/// key), and a weighted partition puts the rank boundary between two of
+/// them. The two leaves touch, so each is a mirror of its rank.
+TYPED_TEST(ReadPathsT, RankBoundaryInsideOneLevelKCell) {
+  using R = TypeParam;
+  using quad_t = typename R::quad_t;
+  constexpr int k = kCurveKeyLevel<R::dim>;
+  if constexpr (R::max_level <= k) {
+    GTEST_SKIP() << R::name << " stops at level " << R::max_level;
+  } else {
+    auto f = Forest<R>::new_uniform(Connectivity::unit(R::dim), 1, 2);
+    const std::int64_t at = (std::int64_t{1} << (kCanonicalLevel - 1)) - 1;
+    f.refine(true, [at](tree_id_t, const quad_t& q) {
+      const CanonicalQuadrant c = to_canonical<R>(q);
+      const std::int64_t h = std::int64_t{1} << (kCanonicalLevel - c.level);
+      const auto holds = [&](std::int64_t lo) {
+        return lo <= at && at < lo + h;
+      };
+      return c.level < k + 2 && holds(c.x) && holds(c.y) &&
+             (R::dim == 2 || holds(c.z));
+    });
+    const std::vector<quad_t> tree = f.tree_quadrants(0);
+    std::size_t group = 0;
+    while (group + 1 < tree.size() &&
+           curve_key<R>(tree[group]) != curve_key<R>(tree[group + 1])) {
+      ++group;
+    }
+    std::size_t end = group;
+    while (end < tree.size() &&
+           curve_key<R>(tree[end]) == curve_key<R>(tree[group])) {
+      ++end;
+    }
+    ASSERT_GE(end - group, 4u) << R::name;
+    const std::size_t cut = group + (end - group) / 2;
+    ASSERT_GT(R::level(tree[cut - 1]), k);
+    ASSERT_GT(R::level(tree[cut]), k);
+    // A weight past twice the leaf count on leaf cut - 1 puts the half-way
+    // mark of the total weight right after it.
+    const quad_t heavy = tree[cut - 1];
+    const std::int64_t weight = 2 * f.num_quadrants() + 1;
+    f.partition_weighted([&](tree_id_t, const quad_t& q) {
+      return R::equal(q, heavy) ? weight : std::int64_t{1};
+    });
+    ASSERT_EQ(f.rank_range(1).first, static_cast<gidx_t>(cut));
+    const std::vector<gidx_t> low = f.mirrors(0);
+    const std::vector<gidx_t> high = f.mirrors(1);
+    EXPECT_NE(std::find(low.begin(), low.end(), static_cast<gidx_t>(cut - 1)),
+              low.end());
+    EXPECT_NE(std::find(high.begin(), high.end(), static_cast<gidx_t>(cut)),
+              high.end());
+    expect_ghost_parity(f);
+  }
 }
 
 /// Cold reads from several threads at once race to build the rank
