@@ -7,7 +7,11 @@
 /// representation is asked the same questions. After every step the four
 /// forests and the per-quadrant oracle (tests/forest_oracle.hpp) must
 /// agree on the canonical leaf sets and is_valid(), every rank's ghosts
-/// and mirrors, the face fingerprint, search_points and is_balanced. One
+/// and mirrors, the face fingerprint, search_points and is_balanced.
+/// Every leaf's payload is then set from a hash of its canonical quadrant,
+/// and every rank's ghost payloads, exchanged by message passing in both
+/// overlap orders, must equal the shared-memory ghost_exchange and the
+/// hashes of the oracle's ghosts. One
 /// VForest per representation kind follows the refine, coarsen and
 /// balance steps through its run-time forwarding layer and must agree on
 /// the leaves, is_valid(), search_points and is_balanced. A failure names
@@ -24,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "forest/forest.hpp"
+#include "forest/io.hpp"
 #include "forest/vforest.hpp"
 #include "forest_oracle.hpp"
 #include "helpers.hpp"
@@ -75,11 +80,62 @@ struct Snapshot {
   std::multiset<test::FaceTuple> faces;
   std::vector<gidx_t> points;
   std::vector<bool> balanced;  ///< kFace, kEdge, kFull
+  std::vector<std::vector<std::uint64_t>> ghost_payloads;  ///< per rank
 };
+
+/// Set every leaf's payload to the hash of its tree and canonical
+/// quadrant under \p salt.
+template <class R>
+void set_payloads(Forest<R>& f, std::uint64_t salt) {
+  if (!f.payload_enabled()) {
+    f.enable_payload();
+  }
+  for (tree_id_t t = 0; t < f.num_trees(); ++t) {
+    const auto& tree = f.tree_quadrants(t);
+    for (std::size_t i = 0; i < tree.size(); ++i) {
+      f.payload(t, i) = mix(t, to_canonical<R>(tree[i]), salt);
+    }
+  }
+}
+
+/// Every rank's ghost payloads: from the oracle's ghosts and the hash
+/// set_payloads wrote, or from exchange_ghost_payloads, which must agree
+/// in both overlap orders with the shared-memory ghost_exchange.
+template <class R>
+std::vector<std::vector<std::uint64_t>> ghost_payloads(const Forest<R>& f,
+                                                       std::uint64_t salt,
+                                                       bool use_oracle) {
+  std::vector<std::vector<std::uint64_t>> out;
+  if (use_oracle) {
+    for (int r = 0; r < f.num_ranks(); ++r) {
+      auto& mine = out.emplace_back();
+      for (const auto& e : oracle::ghost_layer(f, r).entries) {
+        mine.push_back(mix(e.tree, to_canonical<R>(e.quad), salt));
+      }
+    }
+    return out;
+  }
+  std::vector<GhostLayer<R>> ghosts;
+  for (int r = 0; r < f.num_ranks(); ++r) {
+    ghosts.push_back(f.ghost_layer(r));
+  }
+  for (const bool overlap : {true, false}) {
+    GhostExchangeOptions opt;
+    opt.overlap = overlap;
+    const GhostExchangeResult res = exchange_ghost_payloads(f, ghosts, opt);
+    for (int r = 0; r < f.num_ranks(); ++r) {
+      const auto ri = static_cast<std::size_t>(r);
+      EXPECT_EQ(res.payloads[ri], f.ghost_exchange(r, ghosts[ri]))
+          << R::name << " rank " << r << " overlap " << overlap;
+    }
+    out = res.payloads;
+  }
+  return out;
+}
 
 template <class R>
 Snapshot snapshot(const Forest<R>& f, const std::vector<PointQuery>& pts,
-                  bool use_oracle) {
+                  std::uint64_t salt, bool use_oracle) {
   Snapshot s;
   for (tree_id_t t = 0; t < f.num_trees(); ++t) {
     auto& out = s.leaves.emplace_back();
@@ -99,6 +155,7 @@ Snapshot snapshot(const Forest<R>& f, const std::vector<PointQuery>& pts,
     s.balanced.push_back(use_oracle ? oracle::is_balanced(f, kind)
                                     : f.is_balanced(kind));
   }
+  s.ghost_payloads = ghost_payloads(f, salt, use_oracle);
   return s;
 }
 
@@ -111,6 +168,7 @@ void expect_same(const Snapshot& a, const Snapshot& b, const char* what) {
   EXPECT_EQ(a.faces, b.faces);
   EXPECT_EQ(a.points, b.points);
   EXPECT_EQ(a.balanced, b.balanced);
+  EXPECT_EQ(a.ghost_payloads, b.ghost_payloads);
 }
 
 /// The refine step's decision for leaf \p c of tree \p t.
@@ -324,14 +382,17 @@ void run_sequence(std::uint64_t seed, int steps) {
     SCOPED_TRACE(::testing::Message()
                  << "step " << k << " kind " << static_cast<int>(step.kind));
     std::apply([&](auto&... f) { (apply(f, step), ...); }, forests);
+    std::apply([&](auto&... f) { (set_payloads(f, step.salt), ...); },
+               forests);
     for (VForest& f : vforests) {
       apply(f, step);
     }
-    const Snapshot reference = snapshot(std::get<0>(forests), pts, true);
+    const Snapshot reference =
+        snapshot(std::get<0>(forests), pts, step.salt, true);
     ASSERT_TRUE(reference.valid);
     std::apply(
         [&](const auto&... f) {
-          (expect_same(snapshot(f, pts, false), reference,
+          (expect_same(snapshot(f, pts, step.salt, false), reference,
                        std::remove_cvref_t<decltype(f)>::rep::name),
            ...);
         },
