@@ -21,11 +21,12 @@
 /// leaves are staged into level-uniform spans and dispatched through
 /// BatchOps<R> (core/batch_ops.hpp), so representations with SIMD batch
 /// kernels consume them register-parallel while every other representation
-/// takes the generic scalar loop. Balance marking, the ghost/mirror scan
-/// and face iteration are three calls into one neighbor-key sweep
-/// (neighbor_sweep); each operation has exactly one algorithm here, and
-/// the per-quadrant reference algorithms the tests compare against live in
-/// tests/forest_oracle.hpp.
+/// takes the generic scalar loop. Refine waves and balance iterations
+/// insert their children through one apply (apply_splits). Balance
+/// marking, the ghost/mirror scan and face iteration are three calls into
+/// one neighbor-key sweep (neighbor_sweep); each operation has exactly one
+/// algorithm here, and the per-quadrant reference algorithms the tests
+/// compare against live in tests/forest_oracle.hpp.
 ///
 /// Derived indexes: besides the leaf arrays the forest owns the tree
 /// offsets, one 64-bit curve key per leaf (curve_key: the leaf's Morton
@@ -551,16 +552,14 @@ class Forest {
   /// With \p recursive, children are re-examined until the callback
   /// declines or max_level is reached (p4est refine semantics).
   ///
-  /// Implementation: wave-based and two-level parallel. The first wave
-  /// marks over the whole tree in leaf-span chunks and applies with a
-  /// chunked full rebuild; every later wave is *incremental* — it visits
-  /// only the previous wave's children (the same quadrants the recursive
-  /// descent would visit, tracked as an index list instead of a
-  /// tree-sized bitmap) and splices their children into the leaf array in
-  /// place, so sparse waves never rescan or copy the unsplit majority.
-  /// Children are produced in level-uniform batches through BatchOps<R>
-  /// throughout. Trees run in parallel on the forest pool; chunks of one
-  /// tree do too.
+  /// Implementation: wave-based and two-level parallel. Every wave marks
+  /// its leaves in leaf-span chunks and applies them with apply_splits,
+  /// the chunked full rebuild balance uses too. The first wave marks over
+  /// the whole tree; every later wave asks the callback only about the
+  /// previous wave's children (the quadrants the recursive descent would
+  /// visit, tracked as an index list). Children are produced in
+  /// level-uniform batches through BatchOps<R> throughout. Trees run in
+  /// parallel on the forest pool; chunks of one tree do too.
   template <class Fn>
   void refine(bool recursive, Fn&& should_refine) {
     obs::TraceSpan span("forest", "refine");
@@ -1235,102 +1234,49 @@ class Forest {
     }
   }
 
-  /// One tree of refine(): wave 1 is a dense chunked mark over the whole
-  /// tree followed by a chunked full-rebuild apply; recursive waves >= 2
-  /// visit only the fresh-children index list of the previous wave and
-  /// splice the new children in place (no tree-sized bitmaps, no copy of
-  /// the unsplit majority). The non-recursive path never allocates any
-  /// wave-tracking state at all.
+  /// One tree of refine(): every wave marks the leaves to split into one
+  /// bitmap, chunk-parallel, and applies it with apply_splits, the
+  /// chunked full rebuild balance also uses. Wave 1 marks over every
+  /// leaf; each later wave (recursive only) visits only the children the
+  /// previous wave created, the index list apply_splits returns.
   template <class Fn>
   void refine_tree(std::size_t ti, bool recursive, Fn& should_refine) {
+    static obs::Counter& c_waves = obs::counter("forest.refine.waves");
     const auto t = static_cast<tree_id_t>(ti);
     auto& tree = trees_[ti];
     auto* pay = payload_enabled_ ? &payloads_[ti] : nullptr;
-    const std::size_t grain = chunk_grain();
-
-    // Wave 1: dense mark, chunk-parallel; the bitmap feeds the chunked
-    // full rebuild of apply_splits.
-    std::vector<std::uint8_t> split(tree.size(), 0);
-    std::atomic<bool> any{false};
-    parallel_chunks(tree.size(), grain,
-                    [&](std::size_t, std::size_t b, std::size_t e) {
-      bool local = false;
-      for (std::size_t i = b; i < e; ++i) {
-        const quad_t& q = tree[i];
-        if (R::level(q) < R::max_level && should_refine(t, q)) {
-          split[i] = 1;
-          local = true;
+    std::vector<std::uint8_t> split;
+    std::vector<std::size_t> fresh;  // the last wave's children, ascending
+    for (bool first = true;; first = false) {
+      split.assign(tree.size(), 0);
+      std::atomic<bool> any{false};
+      parallel_chunks(first ? tree.size() : fresh.size(), chunk_grain(),
+                      [&](std::size_t, std::size_t b, std::size_t e) {
+        bool local = false;
+        // Each index is visited once, so no two chunks write one byte.
+        for (std::size_t j = b; j < e; ++j) {
+          const std::size_t i = first ? j : fresh[j];
+          const quad_t& q = tree[i];
+          if (R::level(q) < R::max_level && should_refine(t, q)) {
+            split[i] = 1;
+            local = true;
+          }
         }
+        if (local) {
+          // mo: relaxed — one-way flag folded after the parallel region;
+          // the region join orders it before the load below.
+          any.store(true, std::memory_order_relaxed);
+        }
+      });
+      // mo: relaxed — read after the region join; no concurrent writers.
+      if (!any.load(std::memory_order_relaxed)) {
+        return;
       }
-      if (local) {
-        // mo: relaxed — one-way flag folded after the parallel region;
-        // the region join orders it before the load below.
-        any.store(true, std::memory_order_relaxed);
-      }
-    });
-    // mo: relaxed — read after the region join; no concurrent writers.
-    if (!any.load(std::memory_order_relaxed)) {
-      return;
-    }
-    static obs::Counter& c_waves = obs::counter("forest.refine.waves");
-    static obs::Counter& c_rebuilds = obs::counter("forest.refine.wave_rebuilds");
-    static obs::Counter& c_splices = obs::counter("forest.refine.wave_splices");
-    c_waves.add(1);
-    std::vector<std::size_t> fresh;  // new-children indices, ascending
-    apply_splits(tree, pay, split, recursive ? &fresh : nullptr);
-
-    // Waves >= 2: incremental. Mark only the fresh children; sparse
-    // waves splice their children in place (the unsplit majority is
-    // never touched), dense waves — where the new children would be a
-    // sizable fraction of the tree anyway — take the chunk-parallel
-    // full rebuild instead, whose counting pass a bitmap feeds.
-    std::vector<std::size_t> positions;
-    while (recursive && !fresh.empty()) {
-      mark_fresh(ti, fresh, should_refine, positions);
-      if (positions.empty()) {
-        break;
-      }
-      constexpr int nc = dims::num_children;
       c_waves.add(1);
-      if (positions.size() * static_cast<std::size_t>(nc) * 4 >=
-          tree.size()) {
-        c_rebuilds.add(1);
-        split.assign(tree.size(), 0);
-        for (const std::size_t p : positions) {
-          split[p] = 1;
-        }
-        apply_splits(tree, pay, split, &fresh);
-      } else {
-        c_splices.add(1);
-        splice_splits(tree, pay, positions, fresh);
+      apply_splits(tree, pay, split, recursive ? &fresh : nullptr);
+      if (!recursive) {
+        return;
       }
-    }
-  }
-
-  /// Chunked mark over the fresh-children index list: collects the
-  /// (ascending) leaf indices the callback wants split into \p positions.
-  template <class Fn>
-  void mark_fresh(std::size_t ti, const std::vector<std::size_t>& fresh,
-                  Fn& should_refine, std::vector<std::size_t>& positions) {
-    const auto t = static_cast<tree_id_t>(ti);
-    const auto& tree = trees_[ti];
-    const std::size_t grain = chunk_grain();
-    std::vector<std::vector<std::size_t>> per_chunk(
-        batch::chunk_count(fresh.size(), grain));
-    parallel_chunks(fresh.size(), grain,
-                    [&](std::size_t c, std::size_t b, std::size_t e) {
-      auto& mine = per_chunk[c];
-      for (std::size_t j = b; j < e; ++j) {
-        const std::size_t i = fresh[j];
-        const quad_t& q = tree[i];
-        if (R::level(q) < R::max_level && should_refine(t, q)) {
-          mine.push_back(i);
-        }
-      }
-    });
-    positions.clear();
-    for (const auto& mine : per_chunk) {
-      positions.insert(positions.end(), mine.begin(), mine.end());
     }
   }
 
@@ -1342,7 +1288,8 @@ class Forest {
   /// every chunk stages, produces and stitches its slice independently.
   /// When \p fresh is non-null it receives the ascending output indices
   /// of all newly created children (the set a recursive refine wave
-  /// re-examines).
+  /// re-examines). Every refine wave and every balance iteration inserts
+  /// its children here; nothing else in the forest does.
   static void apply_splits(std::vector<quad_t>& leaves,
                            std::vector<std::uint64_t>* pay,
                            const std::vector<std::uint8_t>& split,
@@ -1439,166 +1386,6 @@ class Forest {
     if (pay) {
       *pay = std::move(outp);
     }
-  }
-
-  /// Sparse-wave apply: split exactly the leaves at the ascending
-  /// \p positions, splicing each one's 2^d children into the array in
-  /// place — the leaves before the first split position are never
-  /// touched, unlike the full rebuild. Children are still produced in
-  /// level-uniform batches through BatchOps<R>. \p fresh is replaced by
-  /// the ascending output indices of the new children.
-  ///
-  /// Small tails take a single serial backward shift. Large tails (two or
-  /// more chunk grains past the first split) run chunk-parallel instead:
-  /// the moving tail is copied to a scratch buffer, then every chunk
-  /// scatters its leaves to their final slots independently — old index
-  /// i lands at i + S(i)*(2^d - 1), where S(i) (the number of split
-  /// positions below i, one lower_bound per chunk) is the slots the
-  /// splits below have grown the array by. Destination ranges of
-  /// distinct chunks are disjoint, so the scatter needs no
-  /// synchronization; the cost is one extra copy of the tail, which is
-  /// why the serial shift is kept for short tails.
-  static void splice_splits(std::vector<quad_t>& leaves,
-                            std::vector<std::uint64_t>* pay,
-                            const std::vector<std::size_t>& positions,
-                            std::vector<std::size_t>& fresh) {
-    constexpr int nc = dims::num_children;
-    const std::size_t m = positions.size();
-    const std::size_t n = leaves.size();
-    // Stage the split leaves per level and record each one's (level,
-    // rank-within-level) so its children can be addressed after the
-    // array contents start moving.
-    SpanStage<R> staged;
-    std::vector<std::uint8_t> lev(m);
-    std::vector<std::size_t> rank(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      const quad_t& q = leaves[positions[j]];
-      const auto l = static_cast<std::size_t>(R::level(q));
-      lev[j] = static_cast<std::uint8_t>(l);
-      rank[j] = staged.count(l);
-      staged.add(q);
-    }
-    std::vector<std::vector<quad_t>> kids(staged.num_levels());
-    for (std::size_t l = 0; l < staged.num_levels(); ++l) {
-      const std::size_t k = staged.count(l);
-      if (k == 0) {
-        continue;
-      }
-      kids[l].resize(k * static_cast<std::size_t>(nc));
-      for (int c = 0; c < nc; ++c) {
-        BatchOps<R>::child_uniform(staged.span(l).data(),
-                                   kids[l].data() +
-                                       static_cast<std::size_t>(c) * k,
-                                   k, c, static_cast<int>(l));
-      }
-    }
-    const std::size_t out_n = n + m * static_cast<std::size_t>(nc - 1);
-    leaves.resize(out_n);
-    if (pay) {
-      pay->resize(out_n);
-    }
-    fresh.assign(m * static_cast<std::size_t>(nc), 0);
-
-    static obs::Counter& c_serial = obs::counter("forest.refine.splice_serial");
-    static obs::Counter& c_parallel =
-        obs::counter("forest.refine.splice_parallel");
-    static obs::Histogram& h_splits =
-        obs::histogram("forest.refine.splice_splits");
-    static obs::Histogram& h_moved =
-        obs::histogram("forest.refine.splice_moved");
-    const std::size_t base = positions.front();
-    const std::size_t tail = n - base;  // leaves at or past the first split
-    h_splits.record(m);
-    h_moved.record(tail);
-
-    const std::size_t grain = chunk_grain();
-    const bool parallel = tail / 2 >= grain && tree_parallelism() &&
-                          detail::worker_depth() < 2;
-    if (!parallel) {
-      c_serial.add(1);
-      // Backward shift: process split positions last to first, moving the
-      // tail block after each one into its final place, then writing the
-      // children over the gap (which covers the parent's old slot).
-      std::size_t src = n;      // exclusive end of the next block to move
-      std::size_t dst = out_n;  // exclusive end of its destination
-      for (std::size_t j = m; j-- > 0;) {
-        const std::size_t p = positions[j];
-        const std::size_t len = src - (p + 1);
-        std::move_backward(leaves.begin() + static_cast<std::ptrdiff_t>(p + 1),
-                           leaves.begin() + static_cast<std::ptrdiff_t>(src),
-                           leaves.begin() + static_cast<std::ptrdiff_t>(dst));
-        if (pay) {
-          std::move_backward(pay->begin() + static_cast<std::ptrdiff_t>(p + 1),
-                             pay->begin() + static_cast<std::ptrdiff_t>(src),
-                             pay->begin() + static_cast<std::ptrdiff_t>(dst));
-        }
-        dst -= len;
-        const auto l = static_cast<std::size_t>(lev[j]);
-        const std::size_t k = staged.count(l);
-        const std::uint64_t parent_pay = pay ? (*pay)[p] : 0;
-        for (int c = 0; c < nc; ++c) {
-          const std::size_t o = dst - static_cast<std::size_t>(nc - c);
-          leaves[o] = kids[l][static_cast<std::size_t>(c) * k + rank[j]];
-          if (pay) {
-            (*pay)[o] = parent_pay;
-          }
-          fresh[j * static_cast<std::size_t>(nc) +
-                static_cast<std::size_t>(c)] = o;
-        }
-        dst -= static_cast<std::size_t>(nc);
-        src = p;
-      }
-      assert(dst == src);
-      return;
-    }
-
-    // Parallel scatter. Chunks partition the old tail [base, n); each
-    // writes a disjoint destination range [b + S(b)*(nc-1), ...) of the
-    // output (a split position's nc children are emitted where its one
-    // old slot was, growing the cursor by nc-1), and fresh[j*nc..] is
-    // owned by whichever chunk holds position j. Reads come only from
-    // the scratch copy and the shared read-only staging arrays.
-    std::vector<quad_t> scratch(leaves.begin() + static_cast<std::ptrdiff_t>(base),
-                                leaves.begin() + static_cast<std::ptrdiff_t>(n));
-    std::vector<std::uint64_t> pscratch;
-    if (pay) {
-      pscratch.assign(pay->begin() + static_cast<std::ptrdiff_t>(base),
-                      pay->begin() + static_cast<std::ptrdiff_t>(n));
-    }
-    c_parallel.add(1);
-    parallel_chunks(tail, grain,
-                    [&](std::size_t, std::size_t cb, std::size_t ce) {
-      // Splits below this chunk's first leaf: everything before it has
-      // already grown the output by j * (nc - 1) slots.
-      std::size_t j = static_cast<std::size_t>(
-          std::lower_bound(positions.begin(), positions.end(), base + cb) -
-          positions.begin());
-      std::size_t o = base + cb + j * static_cast<std::size_t>(nc - 1);
-      for (std::size_t i = cb; i < ce; ++i) {
-        const std::size_t src_i = base + i;
-        if (j < m && positions[j] == src_i) {
-          const auto l = static_cast<std::size_t>(lev[j]);
-          const std::size_t k = staged.count(l);
-          const std::uint64_t parent_pay = pay ? pscratch[i] : 0;
-          for (int c = 0; c < nc; ++c) {
-            leaves[o] = kids[l][static_cast<std::size_t>(c) * k + rank[j]];
-            if (pay) {
-              (*pay)[o] = parent_pay;
-            }
-            fresh[j * static_cast<std::size_t>(nc) +
-                  static_cast<std::size_t>(c)] = o;
-            ++o;
-          }
-          ++j;
-        } else {
-          leaves[o] = scratch[i];
-          if (pay) {
-            (*pay)[o] = pscratch[i];
-          }
-          ++o;
-        }
-      }
-    });
   }
 
   /// Reusable buffers of coarsen_tree_pass, so recursive coarsening does
@@ -2390,7 +2177,7 @@ class Forest {
   /// plus every unsplit leaf marked in \p again (both bitmaps indexed as
   /// before the split). Walking the old indices in order computes where
   /// each lands, i + S(i)*(2^d - 1) with S(i) the splits below i in its
-  /// tree, as in splice_splits. Every other (source, leaf) pair existed
+  /// tree, as in apply_splits. Every other (source, leaf) pair existed
   /// unchanged in the iteration before, which would have marked it.
   [[nodiscard]] LeafRanges balance_frontier(
       const std::vector<std::vector<std::uint8_t>>& split,

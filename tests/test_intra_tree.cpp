@@ -76,7 +76,7 @@ bool hash_coarsen(const typename R::quad_t* fam, int keep_above) {
 }
 
 /// The adaptation pipeline under test: recursive refine (exercises the
-/// incremental splice waves), full balance, recursive coarsen — with the
+/// later waves over fresh children), full balance, recursive coarsen — with the
 /// payload channel on, so payload propagation is compared too.
 template <class R>
 Forest<R> run_pipeline() {

@@ -155,59 +155,34 @@ TEST(ObsMetrics, SnapshotAndExportsCoverRegisteredMetrics) {
 TEST(ObsForest, RefineWaveCountsMatchGroundTruth) {
   const MetricsOn on;
   obs::Counter& waves = obs::counter("forest.refine.waves");
-  obs::Counter& rebuilds = obs::counter("forest.refine.wave_rebuilds");
-  obs::Counter& splices = obs::counter("forest.refine.wave_splices");
-  const std::uint64_t waves0 = waves.value();
-  const std::uint64_t rebuilds0 = rebuilds.value();
-  const std::uint64_t splices0 = splices.value();
 
   // Uniform L0 -> recursive refine-everything to L2: wave 1 splits the
-  // root (dense by construction), wave 2 splits all four L1 children —
-  // dense again (4 marks * 4 children * 4 >= 4 leaves), wave 3 finds
-  // nothing and is not counted.
+  // root, wave 2 splits all four L1 children, wave 3 finds nothing and is
+  // not counted.
+  std::uint64_t waves0 = waves.value();
   auto f = Forest<R2>::new_uniform(Connectivity::unit(2), 0);
   f.refine(true, [](tree_id_t, const R2::quad_t& q) {
     return R2::level(q) < 2;
   });
   EXPECT_EQ(f.num_quadrants(), 16);
   EXPECT_EQ(waves.value() - waves0, 2u);
-  EXPECT_EQ(rebuilds.value() - rebuilds0, 1u);
-  EXPECT_EQ(splices.value() - splices0, 0u);
-}
-
-TEST(ObsForest, SparseWavesTakeTheSplicePath) {
-  const MetricsOn on;
-  obs::Counter& waves = obs::counter("forest.refine.waves");
-  obs::Counter& splices = obs::counter("forest.refine.wave_splices");
-  obs::Counter& rebuilds = obs::counter("forest.refine.wave_rebuilds");
-  obs::Counter& serial = obs::counter("forest.refine.splice_serial");
-  obs::Counter& par = obs::counter("forest.refine.splice_parallel");
-  const std::uint64_t waves0 = waves.value();
-  const std::uint64_t splices0 = splices.value();
-  const std::uint64_t rebuilds0 = rebuilds.value();
-  const std::uint64_t paths0 = serial.value() + par.value();
 
   // Uniform L3 (64 leaves) -> recursively refine only the origin-corner
-  // quadrant to L6. Wave 1 is the dense-by-construction first wave;
-  // waves 2 and 3 each mark exactly one fresh child (1 * 4 * 4 < 67) and
-  // must splice.
-  auto f = Forest<R2>::new_uniform(Connectivity::unit(2), 3);
-  f.refine(true, [](tree_id_t, const R2::quad_t& q) {
+  // quadrant to L6: every wave marks exactly one leaf, the first among all
+  // 64, each later one among the previous wave's four children.
+  waves0 = waves.value();
+  auto g = Forest<R2>::new_uniform(Connectivity::unit(2), 3);
+  g.refine(true, [](tree_id_t, const R2::quad_t& q) {
     return R2::level(q) < 6 && R2::level_index(q) == 0;
   });
-  EXPECT_EQ(f.num_quadrants(), 64 + 3 * 3);
+  EXPECT_EQ(g.num_quadrants(), 64 + 3 * 3);
   EXPECT_EQ(waves.value() - waves0, 3u);
-  EXPECT_EQ(splices.value() - splices0, 2u);
-  EXPECT_EQ(rebuilds.value() - rebuilds0, 0u);
-  // Each splice wave takes exactly one of the two shift paths.
-  EXPECT_EQ(serial.value() + par.value() - paths0, 2u);
 }
 
-TEST(ObsForest, ParallelSpliceMatchesSerialSplice) {
-  // The sparse splice takes the scatter-parallel path only when the
-  // shifted tail spans at least two grains; drive the same recursive
-  // refinement once with a tiny grain (parallel) and once with a huge
-  // grain (serial) and demand identical leaves and payloads.
+TEST(ObsForest, RecursiveRefineIgnoresChunkGrain) {
+  // Drive the same recursive refinement once with a tiny grain (every
+  // wave's mark and apply span many chunks) and once with a huge grain
+  // (one chunk) and demand identical leaves and payloads.
   const std::size_t prev_grain = chunk_grain();
   const auto build = [](std::size_t grain) {
     set_chunk_grain(grain);
