@@ -699,7 +699,8 @@ class Forest {
   // ---------------------------------------------------------------- partition
 
   /// Repartition the global Morton order into contiguous rank ranges with
-  /// near-equal total weight; \p weight(tree, quad) must be positive.
+  /// near-equal total weight. Throws std::invalid_argument, leaving the
+  /// partition as it was, when \p weight(tree, quad) is not positive.
   template <class Fn>
   void partition_weighted(Fn&& weight) {
     const gidx_t n = num_quadrants();
@@ -710,7 +711,9 @@ class Forest {
     for (tree_id_t t = 0; t < num_trees(); ++t) {
       for (const quad_t& q : trees_[static_cast<std::size_t>(t)]) {
         const std::int64_t w = weight(t, q);
-        assert(w > 0 && "partition weights must be positive");
+        if (w <= 0) {
+          throw std::invalid_argument("partition weights must be positive");
+        }
         prefix.push_back(prefix.back() + w);
       }
     }

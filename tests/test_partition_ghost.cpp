@@ -4,6 +4,8 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -66,6 +68,30 @@ TEST(Partition, WeightedUniformEqualsBlock) {
   f.partition_weighted([](tree_id_t, const R::quad_t&) { return 7; });
   for (int r = 0; r < 4; ++r) {
     EXPECT_EQ(f.rank_range(r), uniform_ranges[static_cast<std::size_t>(r)]);
+  }
+}
+
+TEST(Partition, WeightedRejectsNonPositiveWeights) {
+  auto f = Forest<R>::new_uniform(Connectivity::unit(3), 2, 3);
+  const gidx_t n = f.num_quadrants();
+  // A skewed partition first, so a reset to the block distribution would
+  // show as a change.
+  f.partition_weighted([&](tree_id_t, const R::quad_t& q) {
+    return R::level_index(q) < static_cast<morton_t>(n) / 3 ? 5 : 1;
+  });
+  std::vector<std::pair<gidx_t, gidx_t>> before;
+  for (int r = 0; r < 3; ++r) {
+    before.push_back(f.rank_range(r));
+  }
+  // The bad weight comes late in the curve, after many good ones.
+  for (const std::int64_t bad : {std::int64_t{0}, std::int64_t{-4}}) {
+    EXPECT_THROW(f.partition_weighted([&](tree_id_t, const R::quad_t& q) {
+      return R::level_index(q) == static_cast<morton_t>(n) - 2 ? bad : 1;
+    }), std::invalid_argument);
+    for (int r = 0; r < 3; ++r) {
+      EXPECT_EQ(f.rank_range(r), before[static_cast<std::size_t>(r)]);
+    }
+    EXPECT_TRUE(f.is_valid());
   }
 }
 
