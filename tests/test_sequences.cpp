@@ -4,7 +4,9 @@
 /// brick or periodic brick connectivity and a fixed budget of random
 /// refine / coarsen / balance / partition / set_num_ranks steps whose
 /// callbacks are pure hashes of the canonical quadrant, so every
-/// representation is asked the same questions. After every step the four
+/// representation is asked the same questions. A throwing refine step
+/// raises from its second wave, and every forest must catch it, stay
+/// valid and hold the same partial result. After every step the four
 /// forests and the per-quadrant oracle (tests/forest_oracle.hpp) must
 /// agree on the canonical leaf sets and is_valid(), every rank's ghosts
 /// and mirrors, the face fingerprint, search_points and is_balanced.
@@ -55,8 +57,8 @@ std::uint64_t mix(tree_id_t t, const CanonicalQuadrant& c,
 
 /// One generated operation; every representation applies the same one.
 struct Step {
-  enum class Kind { kRefine, kCoarsen, kBalance, kPartition, kWeighted,
-                    kRanks };
+  enum class Kind { kRefine, kRefineThrow, kCoarsen, kBalance, kPartition,
+                    kWeighted, kRanks };
   Kind kind = Kind::kRefine;
   bool recursive = false;
   std::uint64_t salt = 0;
@@ -67,7 +69,14 @@ struct Step {
   int depth = -1;       ///< -1: no chain
   BalanceKind balance = BalanceKind::kFull;
   int ranks = 1;
+  /// kRefineThrow: the (tree, x, y, z, level) of every leaf before the step.
+  std::set<std::tuple<tree_id_t, std::int64_t, std::int64_t, std::int64_t,
+                      int>>
+      before;
 };
+
+/// What a kRefineThrow callback raises.
+struct StepThrow {};
 
 /// Everything the representations and the oracle must agree on, in
 /// representation-independent form.
@@ -188,20 +197,46 @@ bool refines(const Step& step, tree_id_t t, const CanonicalQuadrant& c) {
              static_cast<std::uint64_t>(step.percent);
 }
 
+/// The throwing refine step's decision for leaf \p c of tree \p t: that of
+/// a refine step, except that it throws on a hashed share of the children
+/// the step's first wave created (those whose parent was a leaf before the
+/// step), so the throw lands in the second wave.
+bool refines_or_throws(const Step& step, tree_id_t t,
+                       const CanonicalQuadrant& c) {
+  if (c.level > 0) {
+    const std::int64_t h = kRoot >> (c.level - 1);
+    if (step.before.contains({t, c.x & -h, c.y & -h, c.z & -h, c.level - 1}) &&
+        mix(t, c, ~step.salt) % 3 == 0) {
+      throw StepThrow{};
+    }
+  }
+  return refines(step, t, c);
+}
+
 /// The coarsen step's decision for the family of parent \p c in tree \p t.
 bool coarsens(const Step& step, tree_id_t t, const CanonicalQuadrant& c) {
   return mix(t, c, step.salt) % 100 <
          static_cast<std::uint64_t>(step.percent);
 }
 
+/// Applies \p step to \p f; returns whether a kRefineThrow step threw.
 template <class R>
-void apply(Forest<R>& f, const Step& step) {
+bool apply(Forest<R>& f, const Step& step) {
   using quad_t = typename R::quad_t;
   switch (step.kind) {
     case Step::Kind::kRefine:
       f.refine(step.recursive, [&step](tree_id_t t, const quad_t& q) {
         return refines(step, t, to_canonical<R>(q));
       });
+      break;
+    case Step::Kind::kRefineThrow:
+      try {
+        f.refine(true, [&step](tree_id_t t, const quad_t& q) {
+          return refines_or_throws(step, t, to_canonical<R>(q));
+        });
+      } catch (const StepThrow&) {
+        return true;
+      }
       break;
     case Step::Kind::kCoarsen:
       f.coarsen(step.recursive, [&step](tree_id_t t, const quad_t* fam) {
@@ -224,18 +259,28 @@ void apply(Forest<R>& f, const Step& step) {
       f.set_num_ranks(step.ranks);
       break;
   }
+  return false;
 }
 
 /// The same step on a VForest. Partition, weighted-partition and
 /// set_num_ranks steps leave the leaves unchanged, and a VForest has no
-/// ranks, so it skips them.
-void apply(VForest& f, const Step& step) {
+/// ranks, so it skips them. Returns whether a kRefineThrow step threw.
+bool apply(VForest& f, const Step& step) {
   const VirtualQuadrantOps& ops = f.ops();
   switch (step.kind) {
     case Step::Kind::kRefine:
       f.refine(step.recursive, [&](tree_id_t t, const VQuad& q) {
         return refines(step, t, ops.canonical(q));
       });
+      break;
+    case Step::Kind::kRefineThrow:
+      try {
+        f.refine(true, [&](tree_id_t t, const VQuad& q) {
+          return refines_or_throws(step, t, ops.canonical(q));
+        });
+      } catch (const StepThrow&) {
+        return true;
+      }
       break;
     case Step::Kind::kCoarsen:
       f.coarsen(step.recursive, [&](tree_id_t t, const VQuad* fam) {
@@ -248,6 +293,7 @@ void apply(VForest& f, const Step& step) {
     default:
       break;
   }
+  return false;
 }
 
 /// The parts of \p reference a VForest can show: leaves, is_valid(),
@@ -278,9 +324,10 @@ using Lockstep = std::tuple<Forest<StandardRep<Dim>>, Forest<MortonRep<Dim>>,
                             Forest<AvxRep<Dim>>, Forest<WideMortonRep<Dim>>>;
 
 /// Replays seed \p seed: \p steps generated steps on the four
-/// representations, with the full comparison after each.
+/// representations, with the full comparison after each. Adds the number
+/// of throwing refine steps that threw to \p throws.
 template <int Dim>
-void run_sequence(std::uint64_t seed, int steps) {
+void run_sequence(std::uint64_t seed, int steps, int& throws) {
   SCOPED_TRACE(::testing::Message() << Dim << "D seed " << seed);
   Xoshiro256 rng(seed);
   const auto below = [&rng](int n) {
@@ -326,12 +373,16 @@ void run_sequence(std::uint64_t seed, int steps) {
     const auto& first = std::get<0>(forests);
     Step step;
     step.salt = rng.next_u64();
-    switch (below(10)) {
+    switch (below(11)) {
       case 0:
       case 1:
       case 2:
         step.kind = first.num_quadrants() > budget ? Step::Kind::kCoarsen
                                                    : Step::Kind::kRefine;
+        break;
+      case 9:
+        step.kind = first.num_quadrants() > budget ? Step::Kind::kCoarsen
+                                                   : Step::Kind::kRefineThrow;
         break;
       case 3:
       case 4:
@@ -351,12 +402,15 @@ void run_sequence(std::uint64_t seed, int steps) {
         step.kind = Step::Kind::kRanks;
         break;
     }
-    step.recursive = rng.next_bool(0.3);
+    step.recursive =
+        rng.next_bool(0.3) || step.kind == Step::Kind::kRefineThrow;
     step.percent = step.kind == Step::Kind::kCoarsen ? 20 + below(60)
                    : step.recursive                   ? 5 + below(10)
                                                       : 10 + below(30);
     step.max_level = first.max_level_used() + 1;
-    if (step.kind == Step::Kind::kRefine && rng.next_bool(0.5)) {
+    const bool refine = step.kind == Step::Kind::kRefine ||
+                        step.kind == Step::Kind::kRefineThrow;
+    if (refine && rng.next_bool(0.5)) {
       step.tree = static_cast<tree_id_t>(below(
           static_cast<int>(first.num_trees())));
       step.at[0] = coordinate();
@@ -379,14 +433,27 @@ void run_sequence(std::uint64_t seed, int steps) {
       q.z = Dim == 3 ? coordinate() : 0;
       pts.push_back(q);
     }
+    if (step.kind == Step::Kind::kRefineThrow) {
+      for (tree_id_t t = 0; t < first.num_trees(); ++t) {
+        for (const auto& q : first.tree_quadrants(t)) {
+          const CanonicalQuadrant c = to_canonical<StandardRep<Dim>>(q);
+          step.before.emplace(t, c.x, c.y, c.z, c.level);
+        }
+      }
+    }
     SCOPED_TRACE(::testing::Message()
                  << "step " << k << " kind " << static_cast<int>(step.kind));
-    std::apply([&](auto&... f) { (apply(f, step), ...); }, forests);
+    // Whether the step threw: the four forests, then the VForests.
+    std::vector<bool> threw;
+    std::apply([&](auto&... f) { (threw.push_back(apply(f, step)), ...); },
+               forests);
     std::apply([&](auto&... f) { (set_payloads(f, step.salt), ...); },
                forests);
     for (VForest& f : vforests) {
-      apply(f, step);
+      threw.push_back(apply(f, step));
     }
+    EXPECT_EQ(threw, std::vector<bool>(threw.size(), threw.front()));
+    throws += threw.front() ? 1 : 0;
     const Snapshot reference =
         snapshot(std::get<0>(forests), pts, step.salt, true);
     ASSERT_TRUE(reference.valid);
@@ -407,15 +474,19 @@ void run_sequence(std::uint64_t seed, int steps) {
 }
 
 TEST(Sequences, Lockstep2D) {
+  int throws = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    run_sequence<2>(seed, 16);
+    run_sequence<2>(seed, 16, throws);
   }
+  EXPECT_GT(throws, 0);
 }
 
 TEST(Sequences, Lockstep3D) {
+  int throws = 0;
   for (std::uint64_t seed = 101; seed <= 110; ++seed) {
-    run_sequence<3>(seed, 12);
+    run_sequence<3>(seed, 12, throws);
   }
+  EXPECT_GT(throws, 0);
 }
 
 }  // namespace
