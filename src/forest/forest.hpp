@@ -21,8 +21,9 @@
 /// leaves are staged into level-uniform spans and dispatched through
 /// BatchOps<R> (core/batch_ops.hpp), so representations with SIMD batch
 /// kernels consume them register-parallel while every other representation
-/// takes the generic scalar loop. Refine waves and balance iterations
-/// insert their children through one apply (apply_splits). Balance
+/// takes the generic scalar loop. Refine waves, coarsen passes and balance
+/// iterations rewrite the leaf arrays through one routine
+/// (rewrite_leaves), driven by one edit byte per leaf. Balance
 /// marking, the ghost/mirror scan and face iteration are three calls into
 /// one neighbor-key sweep (neighbor_sweep); each operation has exactly one
 /// algorithm here, and the per-quadrant reference algorithms the tests
@@ -48,7 +49,7 @@
 /// algorithms run on the shared forest thread pool (level 1), and within
 /// each tree the hot passes — refine mark waves, the coarsen family
 /// decision sweep, the balance mark passes (over every leaf, then over
-/// the frontier each split leaves) and the split apply — cut the tree's
+/// the frontier each split leaves) and the leaf rewrite — cut the tree's
 /// leaves into contiguous cache-sized chunks dispatched on the
 /// same pool (level 2), so a single-tree forest (the common benchmark
 /// shape) saturates every worker instead of leaving the pool idle. User
@@ -70,9 +71,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <exception>
 #include <iterator>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -94,7 +95,6 @@
 #include "obs/trace.hpp"
 #include "par/communicator.hpp"
 #include "par/thread_pool.hpp"
-#include "util/log.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace qforest {
@@ -177,60 +177,6 @@ inline std::atomic<std::size_t>& chunk_grain_value() {
   }()};
   return value;
 }
-
-/// Deterministic exception collector for one parallel region: the
-/// lowest-index chunk's exception wins regardless of completion order;
-/// every other one is counted and reported, never silently dropped.
-/// ThreadPool::parallel_for_grain applies the same lowest-index-wins
-/// policy for raw pool users (CallState in par/thread_pool.cpp), but
-/// cannot count-and-log the losers — the pool layer has no logger — so
-/// the forest catches here, before the pool-level slot ever sees the
-/// exception; keep the two winner policies in sync.
-class RegionErrors {
- public:
-  void capture(std::size_t begin_index) {
-    const LockGuard lock(mutex_);
-    if (!error_ || begin_index < error_begin_) {
-      if (error_) {
-        ++suppressed_;
-      }
-      error_ = std::current_exception();
-      error_begin_ = begin_index;
-    } else {
-      ++suppressed_;
-    }
-  }
-
-  void rethrow_if_any() {
-    // Copied out under the lock, logged and rethrown outside it: the
-    // region's workers are done by now, but keeping the guarded fields
-    // lock-accessed everywhere is what lets the compiler prove it — and
-    // log_error takes the log mutex, which must not nest under this one.
-    std::exception_ptr error;
-    std::size_t suppressed = 0;
-    {
-      const LockGuard lock(mutex_);
-      error = error_;
-      suppressed = suppressed_;
-    }
-    if (!error) {
-      return;
-    }
-    if (suppressed > 0) {
-      log_error(
-          "forest parallel region: %zu additional worker exception(s) "
-          "suppressed; rethrowing the lowest-index chunk's",
-          suppressed);
-    }
-    std::rethrow_exception(error);
-  }
-
- private:
-  Mutex mutex_;
-  std::exception_ptr error_ QF_GUARDED_BY(mutex_);
-  std::size_t error_begin_ QF_GUARDED_BY(mutex_) = 0;
-  std::size_t suppressed_ QF_GUARDED_BY(mutex_) = 0;
-};
 
 /// A derived index filled on its first read and dropped by the owner's
 /// writes (reset). Const reads may race on the fill: each cold reader
@@ -553,11 +499,12 @@ class Forest {
   /// declines or max_level is reached (p4est refine semantics).
   ///
   /// Implementation: wave-based and two-level parallel. Every wave marks
-  /// its leaves in leaf-span chunks and applies them with apply_splits,
-  /// the chunked full rebuild balance uses too. The first wave marks over
-  /// the whole tree; every later wave asks the callback only about the
-  /// previous wave's children (the quadrants the recursive descent would
-  /// visit, tracked as an index list). Children are produced in
+  /// its leaves in leaf-span chunks and rewrites the tree with
+  /// rewrite_leaves, the chunked rebuild coarsen and balance use too; the
+  /// first wave that marks nothing ends the tree. The first wave marks
+  /// over the whole tree; every later wave asks the callback only about
+  /// the previous wave's children (the quadrants the recursive descent
+  /// would visit, tracked as an index list). Children are produced in
   /// level-uniform batches through BatchOps<R> throughout. Trees run in
   /// parallel on the forest pool; chunks of one tree do too.
   template <class Fn>
@@ -583,9 +530,12 @@ class Forest {
   /// adjacent-parent equality sweep, so the family-detection scan touches
   /// no scalar quadrant ops. Complete families never overlap, so the
   /// family detection and the callback decisions run over leaf-span
-  /// chunks in parallel (the rebuild that consumes accepted families
-  /// stays a single memory-bound sweep). Trees run in parallel on the
-  /// forest pool (coarsening never crosses tree boundaries).
+  /// chunks in parallel; they mark each accepted family in one edit
+  /// array (merge at its start, drop at its other members), and
+  /// rewrite_leaves applies it, as it applies refine's and balance's
+  /// splits. A pass that accepts nothing leaves the tree untouched and
+  /// ends a recursive coarsen. Trees run in parallel on the forest pool
+  /// (coarsening never crosses tree boundaries).
   template <class Fn>
   void coarsen(bool recursive, Fn&& should_coarsen) {
     obs::TraceSpan span("forest", "coarsen");
@@ -613,12 +563,12 @@ class Forest {
   /// Morton-cell index (MarkGrid) with a range-local search of a handful
   /// of leaves' curve keys; keys crossing a tree face are bucketed by
   /// target tree and resolved there with one sort + sorted-merge sweep
-  /// over the target's leaf array. The sweep and the split apply run per
+  /// over the target's leaf array. The split bitmap is an edit array for
+  /// rewrite_leaves (1 splits, 0 keeps). The sweep and the rewrite run per
   /// tree on the forest pool AND in chunks within each tree (split-bitmap
   /// marks use relaxed atomic stores, everything else stays chunk- or
-  /// tree-local). After
-  /// each apply, reindex rebuilds the offsets, keys and grids of the trees
-  /// that were split; the other trees keep theirs.
+  /// tree-local). After each rewrite, reindex rebuilds the offsets, keys
+  /// and grids of the trees that were split; the other trees keep theirs.
   ///
   /// The first iteration sweeps every leaf; each later one sweeps only the
   /// frontier the previous split left (balance_frontier): the children it
@@ -651,7 +601,7 @@ class Forest {
         mark_splits(kind, frontier, split, again);
         dirty.clear();
         for (std::size_t t = 0; t < trees_.size(); ++t) {
-          if (std::find(split[t].begin(), split[t].end(), 1) !=
+          if (std::find(split[t].begin(), split[t].end(), kSplit) !=
               split[t].end()) {
             dirty.push_back(t);
           }
@@ -662,8 +612,9 @@ class Forest {
         any_changed = true;
         parallel_over(dirty.size(), [&](std::size_t d) {
           const std::size_t t = dirty[d];
-          apply_splits(trees_[t], payload_enabled_ ? &payloads_[t] : nullptr,
-                       split[t]);
+          rewrite_leaves(trees_[t],
+                         payload_enabled_ ? &payloads_[t] : nullptr, split[t],
+                         nullptr);
         });
         reindex(&dirty);  // the next mark sweep reads offsets and grids
         frontier = balance_frontier(split, again);
@@ -1124,10 +1075,10 @@ class Forest {
   /// Run fn(0..n-1) across the forest pool (tree-level scheduling); 0-
   /// and 1-item loops stay on the calling thread, as do loops issued from
   /// inside a pool task (reentrant forest operations). When a worker
-  /// throws, the lowest-index block's exception is rethrown
-  /// deterministically on the calling thread once every block finished
-  /// and the suppressed count is logged (basic guarantee: other trees may
-  /// already have been modified, as with any mid-loop throw).
+  /// throws, the pool rethrows the lowest-index block's exception on the
+  /// calling thread once every block finished and logs how many it
+  /// dropped (basic guarantee: other trees may already have been
+  /// modified, as with any mid-loop throw).
   template <class Fn>
   static void parallel_over(std::size_t n, Fn&& fn) {
     if (n == 0) {
@@ -1140,18 +1091,12 @@ class Forest {
       return;
     }
     QFOREST_DBG_DEPTH_TRANSITION(detail::worker_depth(), 1);
-    detail::RegionErrors errors;
     detail::forest_pool().parallel_for(n, [&](std::size_t b, std::size_t e) {
       const detail::DepthScope scope(1);
-      try {
-        for (std::size_t i = b; i < e; ++i) {
-          fn(i);
-        }
-      } catch (...) {
-        errors.capture(b);
+      for (std::size_t i = b; i < e; ++i) {
+        fn(i);
       }
     });
-    errors.rethrow_if_any();
   }
 
   /// Run fn(chunk, begin, end) over the contiguous blocks of [0, n) cut
@@ -1161,7 +1106,7 @@ class Forest {
   /// deadlock-free); runs inline — with identical chunk geometry — when
   /// parallelism is off or the caller already is a chunk worker, so chunk
   /// workers never nest. Exceptions follow the parallel_over contract
-  /// (lowest-index chunk wins, suppressed count logged).
+  /// (lowest-index chunk wins, dropped count logged).
   template <class Fn>
   static void parallel_chunks(std::size_t n, std::size_t grain, Fn&& fn) {
     if (n == 0) {
@@ -1177,17 +1122,11 @@ class Forest {
       return;
     }
     QFOREST_DBG_DEPTH_TRANSITION(detail::worker_depth(), 2);
-    detail::RegionErrors errors;
     detail::forest_pool().parallel_for_grain(
         n, grain, [&](std::size_t b, std::size_t e) {
           const detail::DepthScope scope(2);
-          try {
-            fn(b / grain, b, e);
-          } catch (...) {
-            errors.capture(b);
-          }
+          fn(b / grain, b, e);
         });
-    errors.rethrow_if_any();
   }
 
   /// Per-tree outer loop of the adaptation algorithms.
@@ -1237,110 +1176,110 @@ class Forest {
     }
   }
 
-  /// One tree of refine(): every wave marks the leaves to split into one
-  /// bitmap, chunk-parallel, and applies it with apply_splits, the
-  /// chunked full rebuild balance also uses. Wave 1 marks over every
-  /// leaf; each later wave (recursive only) visits only the children the
-  /// previous wave created, the index list apply_splits returns.
+  /// One tree of refine(): every wave marks the leaves to split in one
+  /// edit array, chunk-parallel, and rewrites the tree with
+  /// rewrite_leaves; the first wave that marks nothing ends the loop.
+  /// Wave 1 marks over every leaf; each later wave (recursive only)
+  /// visits only the children the previous wave created, the index list
+  /// rewrite_leaves returns.
   template <class Fn>
   void refine_tree(std::size_t ti, bool recursive, Fn& should_refine) {
     static obs::Counter& c_waves = obs::counter("forest.refine.waves");
     const auto t = static_cast<tree_id_t>(ti);
     auto& tree = trees_[ti];
     auto* pay = payload_enabled_ ? &payloads_[ti] : nullptr;
-    std::vector<std::uint8_t> split;
+    std::vector<std::uint8_t> edit;
     std::vector<std::size_t> fresh;  // the last wave's children, ascending
     for (bool first = true;; first = false) {
-      split.assign(tree.size(), 0);
-      std::atomic<bool> any{false};
+      edit.assign(tree.size(), kKeep);
       parallel_chunks(first ? tree.size() : fresh.size(), chunk_grain(),
                       [&](std::size_t, std::size_t b, std::size_t e) {
-        bool local = false;
         // Each index is visited once, so no two chunks write one byte.
         for (std::size_t j = b; j < e; ++j) {
           const std::size_t i = first ? j : fresh[j];
           const quad_t& q = tree[i];
           if (R::level(q) < R::max_level && should_refine(t, q)) {
-            split[i] = 1;
-            local = true;
+            edit[i] = kSplit;
           }
         }
-        if (local) {
-          // mo: relaxed — one-way flag folded after the parallel region;
-          // the region join orders it before the load below.
-          any.store(true, std::memory_order_relaxed);
-        }
       });
-      // mo: relaxed — read after the region join; no concurrent writers.
-      if (!any.load(std::memory_order_relaxed)) {
+      if (!rewrite_leaves(tree, pay, edit, nullptr,
+                          recursive ? &fresh : nullptr)) {
         return;
       }
       c_waves.add(1);
-      apply_splits(tree, pay, split, recursive ? &fresh : nullptr);
       if (!recursive) {
         return;
       }
     }
   }
 
-  /// Replace every leaf marked in \p split by its 2^d children, staged
-  /// into level-uniform spans and produced through BatchOps<R> (one batch
-  /// per (level, child-index) pair), then stitched back in Morton order.
-  /// Children inherit the parent's payload. Chunk-parallel full rebuild:
-  /// a counting pass sizes each chunk's contiguous output slice, then
-  /// every chunk stages, produces and stitches its slice independently.
-  /// When \p fresh is non-null it receives the ascending output indices
-  /// of all newly created children (the set a recursive refine wave
-  /// re-examines). Every refine wave and every balance iteration inserts
-  /// its children here; nothing else in the forest does.
-  static void apply_splits(std::vector<quad_t>& leaves,
-                           std::vector<std::uint64_t>* pay,
-                           const std::vector<std::uint8_t>& split,
-                           std::vector<std::size_t>* fresh = nullptr) {
-    constexpr int nc = dims::num_children;
+  /// Per-leaf edits of rewrite_leaves. Balance's split bitmap is an edit
+  /// array as it stands (1 splits, 0 keeps).
+  enum LeafEdit : std::uint8_t {
+    kKeep = 0,   ///< copy the leaf
+    kSplit = 1,  ///< replace it by its 2^d children
+    kMerge = 2,  ///< replace its family by parents[i] (family start)
+    kDrop = 3,   ///< a later member of a merged family: write nothing
+  };
+
+  /// Rewrite one tree's leaves (and payloads) by one edit per leaf. A
+  /// split leaf's children inherit its payload; a merged family's parent
+  /// takes its first child's. Split leaves are staged into level-uniform
+  /// spans and their children produced through BatchOps<R> (one batch
+  /// per (level, child-index) pair). Chunks are cut at multiples of the
+  /// grain: a counting pass sizes each chunk's contiguous output slice,
+  /// then every chunk writes its slice independently, so a merged family
+  /// may straddle chunks (its kDrop members write nothing). When
+  /// \p fresh is non-null it receives the ascending output indices of
+  /// the children created (the leaves a recursive refine wave
+  /// re-examines). Returns false, touching nothing, when every edit is
+  /// kKeep. Every refine wave, coarsen pass and balance iteration
+  /// rewrites its tree here; nothing else in the forest does.
+  static bool rewrite_leaves(std::vector<quad_t>& leaves,
+                             std::vector<std::uint64_t>* pay,
+                             const std::vector<std::uint8_t>& edit,
+                             const quad_t* parents,
+                             std::vector<std::size_t>* fresh = nullptr) {
+    constexpr auto nc = static_cast<std::size_t>(dims::num_children);
+    constexpr std::array<std::size_t, 4> width{1, nc, 1, 0};  // per edit
     const std::size_t n = leaves.size();
     const std::size_t grain = chunk_grain();
     const std::size_t nchunks = batch::chunk_count(n, grain);
-    std::vector<std::size_t> chunk_splits(nchunks, 0);
+    // Chunk c's output slice and children start at out_base[c] and
+    // fresh_base[c]: counted per chunk into slot c + 1, then summed.
+    std::vector<std::size_t> out_base(nchunks + 1, 0);
+    std::vector<std::size_t> fresh_base(nchunks + 1, 0);
     parallel_chunks(n, grain,
                     [&](std::size_t c, std::size_t b, std::size_t e) {
+      std::size_t o = 0;
       std::size_t k = 0;
       for (std::size_t i = b; i < e; ++i) {
-        k += split[i] ? 1 : 0;
+        o += width[edit[i]];
+        k += edit[i] == kSplit ? 1 : 0;
       }
-      chunk_splits[c] = k;
+      out_base[c + 1] = o;
+      fresh_base[c + 1] = k * nc;
     });
-    // Exclusive prefix: chunk c's output slice starts where the leaves
-    // before it land — one extra (nc - 1)-wide gap per split before it.
-    std::vector<std::size_t> out_base(nchunks, 0);
-    std::vector<std::size_t> fresh_base(nchunks, 0);
-    std::size_t total_split = 0;
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      out_base[c] =
-          c * grain + total_split * static_cast<std::size_t>(nc - 1);
-      fresh_base[c] = total_split * static_cast<std::size_t>(nc);
-      total_split += chunk_splits[c];
+    std::partial_sum(out_base.begin(), out_base.end(), out_base.begin());
+    std::partial_sum(fresh_base.begin(), fresh_base.end(),
+                     fresh_base.begin());
+    const std::size_t out_n = out_base[nchunks];
+    if (out_n == n && fresh_base[nchunks] == 0) {
+      return false;
     }
-    if (total_split == 0) {
-      if (fresh) {
-        fresh->clear();
-      }
-      return;
-    }
-    const std::size_t out_n =
-        n + total_split * static_cast<std::size_t>(nc - 1);
     std::vector<quad_t> out(out_n);
     std::vector<std::uint64_t> outp(pay ? out_n : 0);
     if (fresh) {
-      fresh->assign(total_split * static_cast<std::size_t>(nc), 0);
+      fresh->resize(fresh_base[nchunks]);
     }
     parallel_chunks(n, grain,
                     [&](std::size_t c, std::size_t b, std::size_t e) {
-      // Stage this chunk's marked leaves per level; children of staged
+      // Stage this chunk's split leaves per level; children of staged
       // element j for child index c2 land at kids[l][c2 * count[l] + j].
       SpanStage<R> staged;
       for (std::size_t i = b; i < e; ++i) {
-        if (split[i]) {
+        if (edit[i] == kSplit) {
           staged.add(leaves[i]);
         }
       }
@@ -1350,38 +1289,45 @@ class Forest {
         if (k == 0) {
           continue;
         }
-        kids[l].resize(k * static_cast<std::size_t>(nc));
-        for (int c2 = 0; c2 < nc; ++c2) {
+        kids[l].resize(k * nc);
+        for (std::size_t c2 = 0; c2 < nc; ++c2) {
           BatchOps<R>::child_uniform(staged.span(l).data(),
-                                     kids[l].data() +
-                                         static_cast<std::size_t>(c2) * k,
-                                     k, c2, static_cast<int>(l));
+                                     kids[l].data() + c2 * k, k,
+                                     static_cast<int>(c2),
+                                     static_cast<int>(l));
         }
       }
       std::size_t o = out_base[c];
       std::size_t f = fresh_base[c];
       std::vector<std::size_t> cursor(staged.num_levels(), 0);
       for (std::size_t i = b; i < e; ++i) {
-        if (!split[i]) {
-          out[o] = leaves[i];
-          if (pay) {
-            outp[o] = (*pay)[i];
+        switch (edit[i]) {
+          case kKeep:
+          case kMerge:
+            out[o] = edit[i] == kMerge ? parents[i] : leaves[i];
+            if (pay) {
+              outp[o] = (*pay)[i];
+            }
+            ++o;
+            break;
+          case kSplit: {
+            const auto l = static_cast<std::size_t>(R::level(leaves[i]));
+            const std::size_t j = cursor[l]++;
+            const std::size_t k = staged.count(l);
+            for (std::size_t c2 = 0; c2 < nc; ++c2) {
+              out[o] = kids[l][c2 * k + j];
+              if (pay) {
+                outp[o] = (*pay)[i];
+              }
+              if (fresh) {
+                (*fresh)[f++] = o;
+              }
+              ++o;
+            }
+            break;
           }
-          ++o;
-          continue;
-        }
-        const auto l = static_cast<std::size_t>(R::level(leaves[i]));
-        const std::size_t j = cursor[l]++;
-        const std::size_t k = staged.count(l);
-        for (int c2 = 0; c2 < nc; ++c2) {
-          out[o] = kids[l][static_cast<std::size_t>(c2) * k + j];
-          if (pay) {
-            outp[o] = (*pay)[i];
-          }
-          if (fresh) {
-            (*fresh)[f++] = o;
-          }
-          ++o;
+          default:  // kDrop
+            break;
         }
       }
     });
@@ -1389,6 +1335,7 @@ class Forest {
     if (pay) {
       *pay = std::move(outp);
     }
+    return true;
   }
 
   /// Reusable buffers of coarsen_tree_pass, so recursive coarsening does
@@ -1402,13 +1349,14 @@ class Forest {
     std::vector<quad_t> batch_out;
     std::vector<int> idbuf;
     std::vector<std::uint8_t> eq;
-    std::vector<std::uint8_t> accept;
+    std::vector<std::uint8_t> edit;
   };
 
   /// One coarsen sweep over tree \p ti: batch-precompute parent, child id
   /// and adjacent-parent equality for every leaf, then scan for complete
-  /// families and replace accepted ones by their (already computed)
-  /// parent. Returns whether anything was coarsened.
+  /// families, ask the callback about each, and rewrite the tree with
+  /// every accepted family replaced by its (already computed) parent.
+  /// Returns whether anything was coarsened.
   template <class Fn>
   bool coarsen_tree_pass(std::size_t ti, Fn& should_coarsen,
                          CoarsenScratch& s) {
@@ -1468,14 +1416,17 @@ class Forest {
     // 0, and every later member of a family has a nonzero id), so each
     // start's decision is independent of the scan order and chunk
     // boundaries are safe to cut anywhere: the fam test only *reads* up
-    // to nc - 1 entries past the chunk end.
-    s.accept.assign(n, 0);
+    // to nc - 1 entries past the chunk end. An accepted family's kDrop
+    // members may lie in the next chunk, which writes only the edits of
+    // its own family starts, so no edit byte is stored twice.
+    s.edit.assign(n, kKeep);
     static obs::Counter& c_accepted =
         obs::counter("forest.coarsen.families_accepted");
     static obs::Counter& c_rejected =
         obs::counter("forest.coarsen.families_rejected");
     parallel_chunks(n, chunk_grain(),
                     [&](std::size_t, std::size_t b, std::size_t e) {
+      std::size_t accepted = 0;
       std::size_t rejected = 0;
       for (std::size_t i = b; i < e; ++i) {
         bool fam = i + static_cast<std::size_t>(nc) <= n &&
@@ -1487,103 +1438,23 @@ class Forest {
         }
         if (fam) {
           if (should_coarsen(t, tree.data() + i)) {
-            s.accept[i] = 1;
+            s.edit[i] = kMerge;
+            std::fill_n(s.edit.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                        nc - 1, kDrop);
+            ++accepted;
           } else {
             ++rejected;
           }
         }
       }
+      if (accepted > 0) {
+        c_accepted.add(accepted);
+      }
       if (rejected > 0) {
         c_rejected.add(rejected);
       }
     });
-    // Chunk-parallel rebuild consuming accepted families. Chunk
-    // boundaries start at grain multiples and are pulled back to the
-    // start of any accepted family they would cut (an accepted family
-    // occupies [i, i + nc) and families never overlap, so at most one
-    // start lies in the nc-1 slots before a nominal cut) — every chunk's
-    // sweep is then independent of its neighbors. A counting pass turns
-    // per-chunk accept totals into exclusive output offsets, and the
-    // copy pass writes disjoint slices of the output arrays in parallel.
-    const std::size_t grain = chunk_grain();
-    const std::size_t nchunks = batch::chunk_count(n, grain);
-    std::vector<std::size_t> bounds(nchunks + 1);
-    bounds[0] = 0;
-    bounds[nchunks] = n;
-    for (std::size_t c = 1; c < nchunks; ++c) {
-      std::size_t b = c * grain;
-      const std::size_t lo =
-          b >= static_cast<std::size_t>(nc) - 1
-              ? b - (static_cast<std::size_t>(nc) - 1)
-              : 0;
-      for (std::size_t k = lo; k < b; ++k) {
-        if (s.accept[k]) {
-          b = k;
-          break;
-        }
-      }
-      // A family wider than the grain can pull consecutive cuts onto the
-      // same start; clamping keeps the boundaries monotone (the earlier
-      // chunk simply ends where the family begins, later ones go empty).
-      bounds[c] = b > bounds[c - 1] ? b : bounds[c - 1];
-    }
-    std::vector<std::size_t> accepts(nchunks, 0);
-    parallel_chunks(nchunks, 1,
-                    [&](std::size_t, std::size_t cb, std::size_t ce) {
-      for (std::size_t c = cb; c < ce; ++c) {
-        std::size_t a = 0;
-        for (std::size_t i = bounds[c]; i < bounds[c + 1]; ++i) {
-          a += s.accept[i];
-        }
-        accepts[c] = a;
-      }
-    });
-    std::size_t total_accepts = 0;
-    std::vector<std::size_t> out_base(nchunks);
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      out_base[c] =
-          bounds[c] - total_accepts * static_cast<std::size_t>(nc - 1);
-      total_accepts += accepts[c];
-    }
-    if (total_accepts == 0) {
-      return false;  // nothing coarsened: keep the tree untouched
-    }
-    c_accepted.add(total_accepts);
-    const std::size_t out_n =
-        n - total_accepts * static_cast<std::size_t>(nc - 1);
-    std::vector<quad_t> out(out_n);
-    std::vector<std::uint64_t> outp(pay ? out_n : 0);
-    parallel_chunks(nchunks, 1,
-                    [&](std::size_t, std::size_t cb, std::size_t ce) {
-      for (std::size_t c = cb; c < ce; ++c) {
-        std::size_t o = out_base[c];
-        std::size_t i = bounds[c];
-        while (i < bounds[c + 1]) {
-          if (s.accept[i]) {
-            out[o] = s.parents[i];
-            if (pay) {
-              outp[o] = (*pay)[i];  // parent takes the first child's
-            }
-            ++o;
-            i += static_cast<std::size_t>(nc);
-          } else {
-            out[o] = tree[i];
-            if (pay) {
-              outp[o] = (*pay)[i];
-            }
-            ++o;
-            ++i;
-          }
-        }
-        assert(o == (c + 1 < nchunks ? out_base[c + 1] : out_n) &&
-               "coarsen rebuild chunk wrote an unexpected slice");
-      }
-    });
-    tree = std::move(out);
-    if (pay) {
-      *pay = std::move(outp);
-    }
-    return true;
+    return rewrite_leaves(tree, pay, s.edit, s.parents.data());
   }
 
   /// Rebuild the indexes derived from the leaf arrays: the tree offsets
@@ -2137,7 +2008,7 @@ class Forest {
     return R::level(leaf) < R::level(key) - 1 && encloses(leaf, key);
   }
 
-  /// Balance mark phase over the leaves of \p sources: split[t][i] = 1
+  /// Balance mark phase over the leaves of \p sources: split[t][i] = kSplit
   /// for every leaf two or more levels coarser than a same-level neighbor
   /// key of a source under \p kind (a 2:1 violation). Leaves below level
   /// 2 emit no keys: their neighbors can never be two levels coarser.
@@ -2149,7 +2020,7 @@ class Forest {
                    std::vector<std::vector<std::uint8_t>>& split,
                    std::vector<std::vector<std::uint8_t>>& again) const {
     for (std::size_t t = 0; t < trees_.size(); ++t) {
-      split[t].assign(trees_[t].size(), 0);
+      split[t].assign(trees_[t].size(), kKeep);
       again[t].assign(trees_[t].size(), 0);
     }
     (void)neighbor_sweep<SweepSource>(
@@ -2163,7 +2034,7 @@ class Forest {
           // mo: relaxed — idempotent mark byte (chunks and targets may
           // mark the same leaf); readers run after the regions join.
           std::atomic_ref<std::uint8_t>(split[ti][leaf])
-              .store(1, std::memory_order_relaxed);
+              .store(kSplit, std::memory_order_relaxed);
           if (R::level(key) - R::level(trees_[ti][leaf]) >= 3) {
             // mo: relaxed — idempotent mark byte (the targets of one
             // source's keys may mark it concurrently); read after the join.
@@ -2180,7 +2051,7 @@ class Forest {
   /// plus every unsplit leaf marked in \p again (both bitmaps indexed as
   /// before the split). Walking the old indices in order computes where
   /// each lands, i + S(i)*(2^d - 1) with S(i) the splits below i in its
-  /// tree, as in apply_splits. Every other (source, leaf) pair existed
+  /// tree, as in rewrite_leaves. Every other (source, leaf) pair existed
   /// unchanged in the iteration before, which would have marked it.
   [[nodiscard]] LeafRanges balance_frontier(
       const std::vector<std::vector<std::uint8_t>>& split,

@@ -287,7 +287,7 @@ std::uint64_t forest_checksum(const Forest<R>& forest) {
 
 // ------------------------------------------------- sharded ghost exchange
 
-/// User-tag space of the exchange protocol (below par::kInternalTagBase).
+/// Message tags of the exchange protocol.
 inline constexpr int kTagGhostRequest = 101;  ///< round 1: wanted indices
 inline constexpr int kTagGhostData = 102;     ///< round 2: payload blocks
 
@@ -379,7 +379,7 @@ GhostExchangeResult exchange_ghost_payloads(
           w.write_array(idx.data(), idx.size());
           std::vector<std::uint8_t> bytes = std::move(w).take();
           h_req.record(bytes.size());
-          (void)ctx.isend(s, kTagGhostRequest, std::move(bytes));
+          ctx.isend(s, kTagGhostRequest, std::move(bytes));
         }
       }
     }
@@ -407,7 +407,7 @@ GhostExchangeResult exchange_ghost_payloads(
         w.write_array(vals.data(), vals.size());
         std::vector<std::uint8_t> bytes = std::move(w).take();
         h_data.record(bytes.size());
-        (void)ctx.isend(m.source, kTagGhostData, std::move(bytes));
+        ctx.isend(m.source, kTagGhostData, std::move(bytes));
       }
     }
     // Receive the p-1 data blocks and scatter them into the flat ghost

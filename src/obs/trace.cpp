@@ -40,9 +40,24 @@ struct Chunk {
 
 /// Per-thread chunk chain. `cur` (the chain tail) is touched only by the
 /// owning thread; readers walk from `head` through the published links.
+/// The buffer owns the chunks chained after `head`.
 struct ThreadBuffer {
   Chunk head;
   Chunk* cur = &head;
+
+  ThreadBuffer() = default;
+  ThreadBuffer(const ThreadBuffer&) = delete;
+  ThreadBuffer& operator=(const ThreadBuffer&) = delete;
+  ~ThreadBuffer() {
+    // mo: relaxed — destroyed with the registry, after every emitter.
+    Chunk* c = head.next.load(std::memory_order_relaxed);
+    while (c != nullptr) {
+      // mo: relaxed — as above.
+      Chunk* next = c->next.load(std::memory_order_relaxed);
+      delete c;
+      c = next;
+    }
+  }
 };
 
 struct TraceRegistry {
@@ -104,7 +119,7 @@ ThreadBuffer* acquire_buffer() {
 }
 
 /// Thread-exit hook: hand the buffer back so short-lived worker threads
-/// (RankGroup spawns one per rank per collective call) reuse chunks
+/// (RankGroup spawns one per rank per run call) reuse chunks
 /// instead of growing the registry without bound.
 struct BufferHandle {
   ThreadBuffer* buf = nullptr;

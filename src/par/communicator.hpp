@@ -8,8 +8,8 @@
 /// contiguous rank ranges over the global quadrant sequence — with
 /// deterministic in-process execution. The substrate is a real sharded
 /// runtime (message_queue.hpp): run_ranks spawns one worker thread per
-/// rank, wired to per-rank MPSC mailboxes, and the collectives (exscan,
-/// allgather, alltoallv, barrier) are the message-passing ones on RankCtx.
+/// rank, wired to per-rank MPSC mailboxes, and ranks talk through tagged
+/// messages (RankCtx's isend and recv).
 /// The Communicator itself stays a cheap copyable value (Forest stores one
 /// by value); mailboxes live only for the duration of a run_ranks call.
 
@@ -30,8 +30,8 @@ class Communicator {
 
   /// Run \p fn(RankCtx&) once per rank, each rank on its own worker
   /// thread with a mailbox in a fresh RankGroup (size 1 runs inline).
-  /// The ctx offers isend/irecv/wait_all/recv plus the message-passing
-  /// collectives; see message_queue.hpp for the threading contract.
+  /// The ctx offers isend and a matching recv; see message_queue.hpp for
+  /// the threading contract.
   template <class Fn>
   void run_ranks(Fn&& fn) const {
     RankGroup group(size_);

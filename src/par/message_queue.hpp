@@ -5,8 +5,8 @@
 /// The sharded runtime under the simulated Communicator: every rank is a
 /// worker thread owning one Mailbox (a lock-minimal MPSC queue), and ranks
 /// talk exclusively through tagged byte-buffer messages — the same
-/// source/tag matching, nonblocking request and collective semantics the
-/// AMR algorithms would drive through MPI. Layers:
+/// source/tag matching the AMR algorithms would drive through MPI.
+/// Layers:
 ///
 ///   Mailbox   unbounded multi-producer/single-consumer queue. The push
 ///             path is lock-free (one exchange + one store, the classic
@@ -19,28 +19,22 @@
 ///             unblocks every rank when one worker throws. run(fn) spawns
 ///             one thread per rank, joins all of them, and rethrows the
 ///             lowest-rank exception deterministically.
-///   RankCtx   what \p fn receives: isend / irecv / wait_all / recv with
+///   RankCtx   what \p fn receives: isend and a blocking recv with
 ///             (source, tag) matching — messages arriving ahead of their
 ///             recv park on an unexpected-message list, exactly MPI's
-///             matching rule — and the collectives exscan, allgather,
-///             alltoallv and barrier built on them.
+///             matching rule.
 ///
 /// Threading contract: a Mailbox's pop side and a RankCtx belong to the
 /// one thread run() created them on; push (via isend) is safe from any
-/// rank thread. Collectives must be called by every rank in the same
-/// order — each call burns one internal tag (>= kInternalTagBase) so
-/// adjacent collectives can never cross-match. User tags must stay below
-/// kInternalTagBase.
+/// rank thread.
 
 #include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <exception>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -53,10 +47,6 @@ namespace qforest::par {
 /// Wildcards accepted by the matching receives.
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
-
-/// Tags at or above this value are reserved for the collectives (each
-/// collective call consumes one tag from this space).
-inline constexpr int kInternalTagBase = 1 << 30;
 
 /// One tagged byte-buffer message between ranks.
 struct Message {
@@ -266,16 +256,6 @@ class RankGroup {
   std::atomic<std::int64_t> delay_us_{0};
 };
 
-/// A nonblocking operation handle: sends complete immediately (in-process
-/// post), receives complete in wait_all, which fills \p message.
-struct Request {
-  bool done = false;
-  bool is_recv = false;
-  int peer = kAnySource;  ///< send target / receive source filter
-  int tag = kAnyTag;
-  Message message;  ///< delivered payload once a receive completes
-};
-
 /// Per-rank endpoint handed to RankGroup::run's worker function.
 class RankCtx {
  public:
@@ -287,57 +267,9 @@ class RankCtx {
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int size() const { return group_.size(); }
 
-  // ------------------------------------------------------------ point to point
-
-  /// Nonblocking tagged send; completes immediately.
-  Request isend(int to, int tag, std::vector<std::uint8_t> bytes) {
+  /// Tagged send; completes immediately (an in-process post).
+  void isend(int to, int tag, std::vector<std::uint8_t> bytes) {
     group_.post(rank_, to, tag, std::move(bytes));
-    Request r;
-    r.done = true;
-    r.peer = to;
-    r.tag = tag;
-    return r;
-  }
-
-  /// Post a matching receive for (\p from, \p tag); completes in
-  /// wait_all. Both arguments accept the kAny* wildcards.
-  Request irecv(int from = kAnySource, int tag = kAnyTag) {
-    Request r;
-    r.is_recv = true;
-    r.peer = from;
-    r.tag = tag;
-    return r;
-  }
-
-  /// Block until every request completed; received messages land in
-  /// their request's \p message. Messages matching no pending request
-  /// park on the unexpected list for later receives (MPI matching).
-  void wait_all(std::vector<Request>& requests) {
-    for (;;) {
-      bool all_done = true;
-      for (auto& r : requests) {
-        if (!r.done && r.is_recv && take_unexpected(r.peer, r.tag, r.message)) {
-          r.done = true;
-        }
-        all_done = all_done && r.done;
-      }
-      if (all_done) {
-        return;
-      }
-      Message m = pop_counted(true);
-      bool matched = false;
-      for (auto& r : requests) {
-        if (!r.done && r.is_recv && matches(m, r.peer, r.tag)) {
-          r.message = std::move(m);
-          r.done = true;
-          matched = true;
-          break;
-        }
-      }
-      if (!matched) {
-        unexpected_.push_back(std::move(m));
-      }
-    }
   }
 
   /// Blocking matching receive.
@@ -347,77 +279,13 @@ class RankCtx {
       return m;
     }
     for (;;) {
-      m = pop_counted(false);
+      m = pop_counted();
       if (matches(m, from, tag)) {
         return m;
       }
       unexpected_.push_back(std::move(m));
     }
   }
-
-  // -------------------------------------------------------------- collectives
-
-  /// Gather one trivially copyable value per rank; result[r] is rank r's
-  /// contribution on every rank.
-  template <class T>
-  [[nodiscard]] std::vector<T> allgather(const T& mine) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "allgather element must be trivially copyable");
-    const int tag = next_collective_tag();
-    const int p = size();
-    std::vector<std::uint8_t> bytes(sizeof(T));
-    std::memcpy(bytes.data(), &mine, sizeof(T));
-    for (int s = 0; s < p; ++s) {
-      if (s != rank_) {
-        (void)isend(s, tag, bytes);
-      }
-    }
-    std::vector<T> out(static_cast<std::size_t>(p));
-    out[static_cast<std::size_t>(rank_)] = mine;
-    for (int k = 0; k + 1 < p; ++k) {
-      Message m = recv(kAnySource, tag);
-      assert(m.bytes.size() == sizeof(T));
-      std::memcpy(&out[static_cast<std::size_t>(m.source)], m.bytes.data(),
-                  sizeof(T));
-    }
-    return out;
-  }
-
-  /// Exclusive prefix sum across ranks (MPI_Exscan; rank 0 gets 0).
-  [[nodiscard]] std::int64_t exscan(std::int64_t value) {
-    const std::vector<std::int64_t> all = allgather(value);
-    std::int64_t sum = 0;
-    for (int r = 0; r < rank_; ++r) {
-      sum += all[static_cast<std::size_t>(r)];
-    }
-    return sum;
-  }
-
-  /// Personalized all-to-all over variable-size byte buffers: \p to_each
-  /// holds one buffer per target rank (own slot passes through); the
-  /// result holds one buffer per source rank.
-  [[nodiscard]] std::vector<std::vector<std::uint8_t>> alltoallv(
-      std::vector<std::vector<std::uint8_t>> to_each) {
-    assert(static_cast<int>(to_each.size()) == size());
-    const int tag = next_collective_tag();
-    const int p = size();
-    for (int s = 0; s < p; ++s) {
-      if (s != rank_) {
-        (void)isend(s, tag, std::move(to_each[static_cast<std::size_t>(s)]));
-      }
-    }
-    std::vector<std::vector<std::uint8_t>> out(static_cast<std::size_t>(p));
-    out[static_cast<std::size_t>(rank_)] =
-        std::move(to_each[static_cast<std::size_t>(rank_)]);
-    for (int k = 0; k + 1 < p; ++k) {
-      Message m = recv(kAnySource, tag);
-      out[static_cast<std::size_t>(m.source)] = std::move(m.bytes);
-    }
-    return out;
-  }
-
-  /// All ranks entered before any rank leaves.
-  void barrier() { (void)allgather<std::uint8_t>(0); }
 
  private:
   static bool matches(const Message& m, int from, int tag) {
@@ -440,35 +308,18 @@ class RankCtx {
   }
 
   /// Mailbox pop with arrival-side metrics: every dequeued message counts
-  /// as one receive (matched or parked); \p in_wait_all additionally
-  /// charges the block time to par.msg.wait_block_ns.
-  Message pop_counted(bool in_wait_all) {
+  /// as one receive (matched or parked).
+  Message pop_counted() {
     static obs::Counter& c_recvs = obs::counter("par.msg.recvs");
     static obs::Counter& c_recv_bytes = obs::counter("par.msg.recv_bytes");
-    Message m;
-    if (obs::metrics_enabled()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      m = group_.mailbox(rank_).pop_blocking(group_.aborted());
-      if (in_wait_all) {
-        static obs::Counter& c_block = obs::counter("par.msg.wait_block_ns");
-        c_block.add(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()));
-      }
-    } else {
-      m = group_.mailbox(rank_).pop_blocking(group_.aborted());
-    }
+    Message m = group_.mailbox(rank_).pop_blocking(group_.aborted());
     c_recvs.add(1);
     c_recv_bytes.add(m.bytes.size());
     return m;
   }
 
-  int next_collective_tag() { return collective_tag_++; }
-
   RankGroup& group_;
   int rank_;
-  int collective_tag_ = kInternalTagBase;
   std::vector<Message> unexpected_;  ///< arrived ahead of their receive
 };
 

@@ -7,6 +7,7 @@
 
 #include "core/debug_check.hpp"
 #include "obs/metrics.hpp"
+#include "util/log.hpp"
 
 namespace qforest::par {
 
@@ -80,6 +81,7 @@ void ThreadPool::parallel_for_grain(
     Mutex mutex;
     std::exception_ptr error QF_GUARDED_BY(mutex);
     std::size_t error_begin QF_GUARDED_BY(mutex) = 0;
+    std::size_t dropped QF_GUARDED_BY(mutex) = 0;
 #if QFOREST_DEBUG_CHECKS_ENABLED
     debug::ChunkCoverage coverage;
     CallState(std::ptrdiff_t t, std::size_t n, std::size_t grain)
@@ -107,8 +109,12 @@ void ThreadPool::parallel_for_grain(
         fn(begin, end);
       } catch (...) {
         // Deterministic winner: the lowest-index block's exception is the
-        // one rethrown to the owning waiter; later ones are dropped.
+        // one rethrown to the owning waiter; the others are counted and
+        // dropped.
         const LockGuard lock(state->mutex);
+        if (state->error) {
+          ++state->dropped;
+        }
         if (!state->error || begin < state->error_begin) {
           state->error = std::current_exception();
           state->error_begin = begin;
@@ -148,11 +154,20 @@ void ThreadPool::parallel_for_grain(
 #endif
   // All blocks counted the latch down, so no writer remains — but the
   // error slot is guarded, and an uncontended lock here is cheaper than
-  // an analysis exemption.
+  // an analysis exemption. Logged outside the lock: log_error takes the
+  // log mutex, which must not nest under this one.
   std::exception_ptr block_error;
+  std::size_t dropped_errors = 0;
   {
     const LockGuard lock(state->mutex);
     block_error = state->error;
+    dropped_errors = state->dropped;
+  }
+  if (dropped_errors > 0) {
+    log_error(
+        "parallel_for_grain: %zu additional block exception(s) dropped; "
+        "rethrowing the lowest-index block's",
+        dropped_errors);
   }
   if (block_error) {
     std::rethrow_exception(block_error);

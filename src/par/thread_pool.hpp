@@ -52,7 +52,8 @@ class ThreadPool {
   /// lowest-index block's exception is rethrown on the calling thread
   /// once every block finished — to *this* call's caller even when the
   /// block actually ran on another caller's helping thread; further
-  /// exceptions of the same call are dropped.
+  /// exceptions of the same call are dropped, and their count is logged
+  /// with log_error.
   void parallel_for_grain(
       std::size_t n, std::size_t grain,
       const std::function<void(std::size_t, std::size_t)>& fn);

@@ -247,8 +247,8 @@ TEST(ObsPar, MessageCountersMatchGroundTruth) {
   par::RankGroup group(2);
   group.run([](par::RankCtx& ctx) {
     if (ctx.rank() == 0) {
-      (void)ctx.isend(1, 1, std::vector<std::uint8_t>(3, 0xAB));
-      (void)ctx.isend(1, 2, std::vector<std::uint8_t>(5, 0xCD));
+      ctx.isend(1, 1, std::vector<std::uint8_t>(3, 0xAB));
+      ctx.isend(1, 2, std::vector<std::uint8_t>(5, 0xCD));
     } else {
       const par::Message second = ctx.recv(0, 2);
       EXPECT_EQ(second.bytes.size(), 5u);

@@ -5,8 +5,9 @@
 /// refine / coarsen / balance / partition / set_num_ranks steps whose
 /// callbacks are pure hashes of the canonical quadrant, so every
 /// representation is asked the same questions. A throwing refine step
-/// raises from its second wave, and every forest must catch it, stay
-/// valid and hold the same partial result. After every step the four
+/// raises from its second wave and a throwing recursive coarsen step from
+/// its second pass or later; every forest must catch it, stay valid and
+/// hold the same partial result. After every step the four
 /// forests and the per-quadrant oracle (tests/forest_oracle.hpp) must
 /// agree on the canonical leaf sets and is_valid(), every rank's ghosts
 /// and mirrors, the face fingerprint, search_points and is_balanced.
@@ -20,6 +21,7 @@
 /// the seed and the step, which replay deterministically.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <set>
 #include <tuple>
@@ -57,8 +59,8 @@ std::uint64_t mix(tree_id_t t, const CanonicalQuadrant& c,
 
 /// One generated operation; every representation applies the same one.
 struct Step {
-  enum class Kind { kRefine, kRefineThrow, kCoarsen, kBalance, kPartition,
-                    kWeighted, kRanks };
+  enum class Kind { kRefine, kRefineThrow, kCoarsen, kCoarsenThrow,
+                    kBalance, kPartition, kWeighted, kRanks };
   Kind kind = Kind::kRefine;
   bool recursive = false;
   std::uint64_t salt = 0;
@@ -69,13 +71,14 @@ struct Step {
   int depth = -1;       ///< -1: no chain
   BalanceKind balance = BalanceKind::kFull;
   int ranks = 1;
-  /// kRefineThrow: the (tree, x, y, z, level) of every leaf before the step.
+  /// kRefineThrow, kCoarsenThrow: the (tree, x, y, z, level) of every leaf
+  /// before the step.
   std::set<std::tuple<tree_id_t, std::int64_t, std::int64_t, std::int64_t,
                       int>>
       before;
 };
 
-/// What a kRefineThrow callback raises.
+/// What a kRefineThrow or kCoarsenThrow callback raises.
 struct StepThrow {};
 
 /// Everything the representations and the oracle must agree on, in
@@ -219,7 +222,22 @@ bool coarsens(const Step& step, tree_id_t t, const CanonicalQuadrant& c) {
          static_cast<std::uint64_t>(step.percent);
 }
 
-/// Applies \p step to \p f; returns whether a kRefineThrow step threw.
+/// The throwing coarsen step's decision for the family of parent \p c in
+/// tree \p t whose first member is \p first: that of a coarsen step,
+/// except that it throws on a hashed share of the families whose first
+/// member was not a leaf before the step (a parent an earlier pass of the
+/// step created), so the throw lands in the second pass or later.
+bool coarsens_or_throws(const Step& step, tree_id_t t,
+                        const CanonicalQuadrant& first,
+                        const CanonicalQuadrant& c) {
+  if (!step.before.contains({t, first.x, first.y, first.z, first.level}) &&
+      mix(t, c, ~step.salt) % 2 == 0) {
+    throw StepThrow{};
+  }
+  return coarsens(step, t, c);
+}
+
+/// Applies \p step to \p f; returns whether a throwing step threw.
 template <class R>
 bool apply(Forest<R>& f, const Step& step) {
   using quad_t = typename R::quad_t;
@@ -243,6 +261,16 @@ bool apply(Forest<R>& f, const Step& step) {
         return coarsens(step, t, to_canonical<R>(R::parent(fam[0])));
       });
       break;
+    case Step::Kind::kCoarsenThrow:
+      try {
+        f.coarsen(true, [&step](tree_id_t t, const quad_t* fam) {
+          return coarsens_or_throws(step, t, to_canonical<R>(fam[0]),
+                                    to_canonical<R>(R::parent(fam[0])));
+        });
+      } catch (const StepThrow&) {
+        return true;
+      }
+      break;
     case Step::Kind::kBalance:
       f.balance(step.balance);
       break;
@@ -264,7 +292,7 @@ bool apply(Forest<R>& f, const Step& step) {
 
 /// The same step on a VForest. Partition, weighted-partition and
 /// set_num_ranks steps leave the leaves unchanged, and a VForest has no
-/// ranks, so it skips them. Returns whether a kRefineThrow step threw.
+/// ranks, so it skips them. Returns whether a throwing step threw.
 bool apply(VForest& f, const Step& step) {
   const VirtualQuadrantOps& ops = f.ops();
   switch (step.kind) {
@@ -286,6 +314,16 @@ bool apply(VForest& f, const Step& step) {
       f.coarsen(step.recursive, [&](tree_id_t t, const VQuad* fam) {
         return coarsens(step, t, ops.canonical(ops.parent(fam[0])));
       });
+      break;
+    case Step::Kind::kCoarsenThrow:
+      try {
+        f.coarsen(true, [&](tree_id_t t, const VQuad* fam) {
+          return coarsens_or_throws(step, t, ops.canonical(fam[0]),
+                                    ops.canonical(ops.parent(fam[0])));
+        });
+      } catch (const StepThrow&) {
+        return true;
+      }
       break;
     case Step::Kind::kBalance:
       f.balance(step.balance);
@@ -325,9 +363,10 @@ using Lockstep = std::tuple<Forest<StandardRep<Dim>>, Forest<MortonRep<Dim>>,
 
 /// Replays seed \p seed: \p steps generated steps on the four
 /// representations, with the full comparison after each. Adds the number
-/// of throwing refine steps that threw to \p throws.
+/// of throwing refine and coarsen steps that threw to \p throws[0] and
+/// \p throws[1].
 template <int Dim>
-void run_sequence(std::uint64_t seed, int steps, int& throws) {
+void run_sequence(std::uint64_t seed, int steps, std::array<int, 2>& throws) {
   SCOPED_TRACE(::testing::Message() << Dim << "D seed " << seed);
   Xoshiro256 rng(seed);
   const auto below = [&rng](int n) {
@@ -373,7 +412,7 @@ void run_sequence(std::uint64_t seed, int steps, int& throws) {
     const auto& first = std::get<0>(forests);
     Step step;
     step.salt = rng.next_u64();
-    switch (below(11)) {
+    switch (below(12)) {
       case 0:
       case 1:
       case 2:
@@ -383,6 +422,9 @@ void run_sequence(std::uint64_t seed, int steps, int& throws) {
       case 9:
         step.kind = first.num_quadrants() > budget ? Step::Kind::kCoarsen
                                                    : Step::Kind::kRefineThrow;
+        break;
+      case 10:
+        step.kind = Step::Kind::kCoarsenThrow;
         break;
       case 3:
       case 4:
@@ -402,11 +444,17 @@ void run_sequence(std::uint64_t seed, int steps, int& throws) {
         step.kind = Step::Kind::kRanks;
         break;
     }
-    step.recursive =
-        rng.next_bool(0.3) || step.kind == Step::Kind::kRefineThrow;
-    step.percent = step.kind == Step::Kind::kCoarsen ? 20 + below(60)
-                   : step.recursive                   ? 5 + below(10)
-                                                      : 10 + below(30);
+    const bool throwing = step.kind == Step::Kind::kRefineThrow ||
+                          step.kind == Step::Kind::kCoarsenThrow;
+    const bool coarsen = step.kind == Step::Kind::kCoarsen ||
+                         step.kind == Step::Kind::kCoarsenThrow;
+    step.recursive = rng.next_bool(0.3) || throwing;
+    // A throwing coarsen step accepts most families, so that its first
+    // pass leaves complete families of new parents for later passes.
+    step.percent = step.kind == Step::Kind::kCoarsenThrow ? 60 + below(40)
+                   : coarsen        ? 20 + below(60)
+                   : step.recursive ? 5 + below(10)
+                                    : 10 + below(30);
     step.max_level = first.max_level_used() + 1;
     const bool refine = step.kind == Step::Kind::kRefine ||
                         step.kind == Step::Kind::kRefineThrow;
@@ -433,7 +481,7 @@ void run_sequence(std::uint64_t seed, int steps, int& throws) {
       q.z = Dim == 3 ? coordinate() : 0;
       pts.push_back(q);
     }
-    if (step.kind == Step::Kind::kRefineThrow) {
+    if (throwing) {
       for (tree_id_t t = 0; t < first.num_trees(); ++t) {
         for (const auto& q : first.tree_quadrants(t)) {
           const CanonicalQuadrant c = to_canonical<StandardRep<Dim>>(q);
@@ -453,7 +501,9 @@ void run_sequence(std::uint64_t seed, int steps, int& throws) {
       threw.push_back(apply(f, step));
     }
     EXPECT_EQ(threw, std::vector<bool>(threw.size(), threw.front()));
-    throws += threw.front() ? 1 : 0;
+    if (threw.front()) {
+      ++throws[step.kind == Step::Kind::kCoarsenThrow ? 1 : 0];
+    }
     const Snapshot reference =
         snapshot(std::get<0>(forests), pts, step.salt, true);
     ASSERT_TRUE(reference.valid);
@@ -474,19 +524,21 @@ void run_sequence(std::uint64_t seed, int steps, int& throws) {
 }
 
 TEST(Sequences, Lockstep2D) {
-  int throws = 0;
+  std::array<int, 2> throws{};
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     run_sequence<2>(seed, 16, throws);
   }
-  EXPECT_GT(throws, 0);
+  EXPECT_GT(throws[0], 0);
+  EXPECT_GT(throws[1], 0);
 }
 
 TEST(Sequences, Lockstep3D) {
-  int throws = 0;
+  std::array<int, 2> throws{};
   for (std::uint64_t seed = 101; seed <= 110; ++seed) {
     run_sequence<3>(seed, 12, throws);
   }
-  EXPECT_GT(throws, 0);
+  EXPECT_GT(throws[0], 0);
+  EXPECT_GT(throws[1], 0);
 }
 
 }  // namespace
