@@ -1,6 +1,7 @@
 #include "forest/connectivity.hpp"
 
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 
 namespace qforest {
@@ -18,6 +19,10 @@ Connectivity::Connectivity(int dim, std::array<int, 3> extent,
   }
   if (dim == 2 && extent_[2] != 1) {
     throw std::invalid_argument("Connectivity: 2D brick must have nz == 1");
+  }
+  if (static_cast<std::int64_t>(extent_[0]) * extent_[1] * extent_[2] >
+      std::numeric_limits<tree_id_t>::max()) {
+    throw std::invalid_argument("Connectivity: too many trees");
   }
 }
 

@@ -71,7 +71,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <iterator>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -558,17 +557,16 @@ class Forest {
   /// Each mark phase is one neighbor_sweep over its source leaves of level
   /// >= 2: each chunk's leaves are staged into level-uniform spans and all
   /// candidate neighbor keys are produced in bulk through
-  /// BatchOps<R>::neighbor_at_offset_n. Keys staying inside their source
-  /// tree (the vast majority) resolve against the forest's per-tree
-  /// Morton-cell index (MarkGrid) with a range-local search of a handful
-  /// of leaves' curve keys; keys crossing a tree face are bucketed by
-  /// target tree and resolved there with one sort + sorted-merge sweep
-  /// over the target's leaf array. The split bitmap is an edit array for
-  /// rewrite_leaves (1 splits, 0 keeps). The sweep and the rewrite run per
-  /// tree on the forest pool AND in chunks within each tree (split-bitmap
-  /// marks use relaxed atomic stores, everything else stays chunk- or
-  /// tree-local). After each rewrite, reindex rebuilds the offsets, keys
-  /// and grids of the trees that were split; the other trees keep theirs.
+  /// BatchOps<R>::neighbor_at_offset_n. Every key, whether it stays in its
+  /// source tree or crosses a tree face, resolves against the per-tree
+  /// Morton-cell index (MarkGrid) of the tree it lands in, with a
+  /// range-local search of a handful of leaves' curve keys. The split
+  /// bitmap is an edit array for rewrite_leaves (1 splits, 0 keeps). The
+  /// sweep and the rewrite run per tree on the forest pool AND in chunks
+  /// within each tree (split-bitmap marks use relaxed atomic stores,
+  /// everything else stays chunk- or tree-local). After each rewrite,
+  /// reindex rebuilds the offsets, keys and grids of the trees that were
+  /// split; the other trees keep theirs.
   ///
   /// The first iteration sweeps every leaf; each later one sweeps only the
   /// frontier the previous split left (balance_frontier): the children it
@@ -632,10 +630,10 @@ class Forest {
   /// forest is balanced. The first violation stops the sweep.
   [[nodiscard]] bool is_balanced(BalanceKind kind = BalanceKind::kFull) const {
     std::atomic<bool> unbalanced{false};
-    (void)neighbor_sweep<NoSource>(
+    (void)neighbor_sweep(
         {{0, num_quadrants()}}, neighbor_offsets(kind), 2,
         [&](std::vector<gidx_t>&, std::size_t ti, std::ptrdiff_t j,
-            const quad_t& key, NoSource) {
+            const quad_t& key, const SweepSource&) {
           if (must_split(ti, j, key)) {
             // mo: relaxed — one-way flag; the sweep only polls it to stop
             // early, and the load below runs after the regions join.
@@ -795,19 +793,16 @@ class Forest {
   /// see point_query.hpp for the shared-boundary convention). Throws
   /// std::invalid_argument when a query lies outside its tree's domain.
   ///
-  /// Queries are grouped per tree, each group is sorted in curve order
-  /// and resolved with one chunked sorted-merge sweep over the tree's
-  /// leaf array (merge_sweep, the cursor that also resolves the cross-tree
-  /// neighbor keys), so resolving m points costs one sort plus one sweep
-  /// instead of m whole-tree binary searches. Trees and key chunks run in
-  /// parallel on the forest pool. The pruning traversal search() remains
-  /// the API for callback-driven descents.
+  /// Each query resolves on its own through its tree's MarkGrid
+  /// (grid_cursor, the lookup that also resolves the neighbor sweep's
+  /// keys): a search among the few leaves of one grid cell instead of a
+  /// whole-tree binary search. Chunks of queries run in parallel on the
+  /// forest pool. The pruning traversal search() remains the API for
+  /// callback-driven descents.
   [[nodiscard]] std::vector<gidx_t> search_points(
       const std::vector<PointQuery>& queries) const {
     obs::TraceSpan span("forest", "search_points");
     span.arg("queries", static_cast<std::int64_t>(queries.size()));
-    static obs::Histogram& h_sweep =
-        obs::histogram("forest.search.sweep_size");
     const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
     for (const PointQuery& p : queries) {
       if (p.tree < 0 || p.tree >= num_trees() || p.x < 0 || p.x >= root ||
@@ -818,52 +813,18 @@ class Forest {
       }
     }
     std::vector<gidx_t> out(queries.size(), -1);
-    // Counting sort groups the queries per tree in one flat key array
-    // without touching the input order (results land at each query's
-    // original slot).
-    const std::size_t nt = trees_.size();
-    std::vector<std::size_t> count(nt + 1, 0);
-    for (const PointQuery& p : queries) {
-      ++count[static_cast<std::size_t>(p.tree) + 1];
-    }
-    for (std::size_t t = 1; t <= nt; ++t) {
-      count[t] += count[t - 1];
-    }
-    struct PointKey {
-      quad_t quad;  // first: a 16-byte-aligned quadrant then needs no padding
-      std::uint64_t curve;
-      std::size_t query;
-    };
-    std::vector<PointKey> pts(queries.size());
-    {
-      std::vector<std::size_t> cursor(count.begin(), count.end() - 1);
-      for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-        pts[cursor[static_cast<std::size_t>(queries[qi].tree)]++].query = qi;
+    parallel_chunks(queries.size(), chunk_grain(),
+                    [&](std::size_t, std::size_t b, std::size_t e) {
+      for (std::size_t qi = b; qi < e; ++qi) {
+        const quad_t key = point_key(queries[qi]);
+        const auto ti = static_cast<std::size_t>(queries[qi].tree);
+        // The containing leaf is the last leaf <= the point's key; a
+        // complete tree guarantees one exists (the curve-minimal leaf
+        // precedes every in-root key).
+        const std::ptrdiff_t j = grid_cursor(ti, curve_key<R>(key), key);
+        assert(j >= 0);
+        out[qi] = global_index(queries[qi].tree, static_cast<std::size_t>(j));
       }
-    }
-    parallel_over(nt, [&](std::size_t ti) {
-      const std::size_t b = count[ti];
-      const std::size_t e = count[ti + 1];
-      if (b == e) {
-        return;
-      }
-      h_sweep.record(e - b);
-      const std::span<PointKey> mine(pts.data() + b, e - b);
-      for (PointKey& p : mine) {
-        p.quad = point_key(queries[p.query]);
-        p.curve = curve_key<R>(p.quad);
-      }
-      std::sort(mine.begin(), mine.end(), by_curve);
-      // The containing leaf is the last leaf <= the point's key; a
-      // complete tree guarantees one exists (the curve-minimal leaf
-      // precedes every in-root key).
-      merge_sweep(ti, std::span<const PointKey>(mine), chunk_grain(),
-                  [&](std::size_t, std::size_t k, std::ptrdiff_t j) {
-                    assert(j >= 0);
-                    out[mine[k].query] =
-                        global_index(static_cast<tree_id_t>(ti),
-                                     static_cast<std::size_t>(j));
-                  });
     });
     return out;
   }
@@ -879,9 +840,8 @@ class Forest {
   /// sweep runs per tree AND per leaf chunk on the forest pool, produces
   /// every face-neighbor key of a level-uniform span in bulk through
   /// BatchOps<R>::neighbor_at_offset_n and resolves it against the
-  /// per-tree Morton-cell grid; keys crossing a tree face are bucketed per
-  /// target tree and resolved with one sort + sorted-merge sweep. The
-  /// emission ORDER is therefore unspecified, and \p cb is invoked
+  /// Morton-cell grid of the tree it lands in, across a tree face or not.
+  /// The emission ORDER is therefore unspecified, and \p cb is invoked
   /// concurrently — it must be thread-safe, with the same opt-outs as the
   /// adaptation callbacks (set_tree_parallelism / set_chunk_grain).
   template <class Fn>
@@ -897,7 +857,7 @@ class Forest {
       info.face[0] = from.offset;
       return info;
     };
-    (void)neighbor_sweep<SweepSource>(
+    (void)neighbor_sweep(
         {{0, num_quadrants()}}, face_offsets(), 0,
         [&](std::vector<gidx_t>&, std::size_t ti, std::ptrdiff_t j,
             const quad_t& key, const SweepSource& from) {
@@ -1665,12 +1625,13 @@ class Forest {
     return static_cast<std::ptrdiff_t>(lo) - 1;
   }
 
-  /// The merge cursor of a key staying in tree \p ti, found through the
-  /// tree's MarkGrid: the index of the last leaf <= key in curve order.
-  /// In a complete tree the key's enclosing leaf — or, when the key's
-  /// region is covered by finer leaves, the first of them — intersects
-  /// the grid cell holding the key's lower corner, so the search local to
-  /// that cell's leaf range lands where the whole-tree one does.
+  /// The index of the last leaf of tree \p ti that is <= a key in its
+  /// frame (a sweep key, wrapped into the tree or not, or a point), found
+  /// through the tree's MarkGrid. In a complete tree the key's enclosing
+  /// leaf — or, when the key's region is covered by finer leaves, the
+  /// first of them — intersects the grid cell holding the key's lower
+  /// corner, so the search local to that cell's leaf range lands where the
+  /// whole-tree one does.
   [[nodiscard]] std::ptrdiff_t grid_cursor(std::size_t ti,
                                            std::uint64_t curve,
                                            const quad_t& key) const {
@@ -1683,41 +1644,6 @@ class Forest {
     return last_leq(ti, lo, hi, curve, key);
   }
 
-  /// Orders keyed quadrants (members curve and quad) along the curve.
-  static constexpr auto by_curve = [](const auto& x, const auto& y) {
-    return curve_less<R>(x.curve, x.quad, y.curve, y.quad);
-  };
-
-  /// The sorted-merge cursor: resolve \p keys, sorted by_curve, against
-  /// tree \p ti. Keys and leaves are both in curve order, so the index j
-  /// of the last leaf <= key — the only possible enclosure — advances
-  /// monotonically. The keys are cut into chunks of \p grain run on the
-  /// forest pool; each chunk seeds j with one binary search on its first
-  /// key and calls \p fn(chunk, k, j) for each of its keys (j = -1: none).
-  template <class Keyed, class Fn>
-  void merge_sweep(std::size_t ti, std::span<const Keyed> keys,
-                   std::size_t grain, Fn&& fn) const {
-    const auto& tree = trees_[ti];
-    const auto& curves = keys_[ti];
-    const auto m = static_cast<std::ptrdiff_t>(tree.size());
-    parallel_chunks(keys.size(), grain,
-                    [&](std::size_t c, std::size_t b, std::size_t e) {
-      std::ptrdiff_t j =
-          last_leq(ti, 0, tree.size(), keys[b].curve, keys[b].quad);
-      for (std::size_t k = b; k < e; ++k) {
-        const Keyed& key = keys[k];
-        while (j + 1 < m) {
-          const auto next = static_cast<std::size_t>(j + 1);
-          if (curve_less<R>(key.curve, key.quad, curves[next], tree[next])) {
-            break;
-          }
-          ++j;
-        }
-        fn(c, k, j);
-      }
-    });
-  }
-
   /// Sorted, disjoint half-open ranges of global leaf indices.
   using LeafRanges = std::vector<std::pair<gidx_t, gidx_t>>;
 
@@ -1728,27 +1654,6 @@ class Forest {
     int offset;
     int rank;
     std::size_t leaf;
-  };
-
-  /// Key payload of a sweep whose actions never ask where a key came from.
-  struct NoSource {
-    explicit NoSource(const SweepSource&) {}
-  };
-
-  /// A cross-tree key in its target tree's frame, its curve key and its
-  /// payload.
-  template <class Payload>
-  struct RemoteKey {
-    quad_t quad;  // first: a 16-byte-aligned quadrant then needs no padding
-    std::uint64_t curve;
-    [[no_unique_address]] Payload payload;
-  };
-
-  /// Cross-tree keys bound for one target tree.
-  template <class Payload>
-  struct RemoteBucket {
-    tree_id_t tree;
-    std::vector<RemoteKey<Payload>> keys;
   };
 
   /// Append \p parts to \p out, releasing each part once copied, so the
@@ -1774,31 +1679,22 @@ class Forest {
   /// and every displacement of \p offsets it produces the same-level
   /// neighbor key and resolves it to j, the index of the last leaf <= key
   /// in the key's tree (-1: none) — the key's enclosing leaf when it has
-  /// one, else the leaf right before its finer descendants. Two passes:
-  ///   1. per tree and per chunk of its sources (chunks are cut by source
-  ///      count, so scattered ranges still balance): stage the chunk into
-  ///      level-uniform spans, produce the keys in bulk through
-  ///      BatchOps<R>::neighbor_at_offset_n and wrap them across tree
-  ///      faces. Keys leaving the domain go to \p boundary(out, source);
-  ///      every other key gets its curve key. Keys staying in the source
-  ///      tree (a periodic wrap included) resolve on the spot through its
-  ///      MarkGrid; keys entering another tree are bucketed per chunk and
-  ///      target;
-  ///   2. the buckets are grouped per target with one pointer pass, and
-  ///      each target concatenates and sorts its keys by curve key and
-  ///      resolves them with merge_sweep.
-  /// Every resolved key goes to \p hit(out, tree, j, key, payload) with
-  /// payload = Payload(source): SweepSource (its rank comes from the
-  /// chunk's rank range, not a lookup per key) when the action needs to
-  /// know the key's origin, NoSource when it does not (its cross-tree keys
-  /// then carry no source). Actions run concurrently; \p out is a private
-  /// sink per chunk, and the global indices pushed there are returned
-  /// concatenated, unsorted. Once \p stop is set (an action may set it)
-  /// the chunks and targets not yet started are skipped, so a yes/no
-  /// question answers at its first hit. The sweep only reads the forest's
-  /// indexes (tree offsets, curve keys and MarkGrids), which reindex keeps
-  /// current.
-  template <class Payload, class Hit, class Boundary>
+  /// one, else the leaf right before its finer descendants. It runs per
+  /// tree and per chunk of its sources (chunks are cut by source count, so
+  /// scattered ranges still balance): each chunk is staged into
+  /// level-uniform spans, its keys are produced in bulk through
+  /// BatchOps<R>::neighbor_at_offset_n and wrapped across tree faces. Keys
+  /// leaving the domain go to \p boundary(out, source); every other key
+  /// resolves on the spot through the MarkGrid of the tree it lands in
+  /// (grid_cursor) and goes to \p hit(out, tree, j, key, source), whose
+  /// SweepSource takes its rank from the chunk's rank range, not a lookup
+  /// per key. Actions run concurrently; \p out is a private sink per
+  /// chunk, and the global indices pushed there are returned concatenated,
+  /// unsorted. Once \p stop is set (an action may set it) the chunks not
+  /// yet started are skipped, so a yes/no question answers at its first
+  /// hit. The sweep only reads the forest's indexes (tree offsets, curve
+  /// keys and MarkGrids), which reindex keeps current.
+  template <class Hit, class Boundary>
   std::vector<gidx_t> neighbor_sweep(
       const LeafRanges& sources, const std::vector<std::array<int, 3>>& offsets,
       int min_level, Hit&& hit, Boundary&& boundary,
@@ -1839,11 +1735,9 @@ class Forest {
     }
     const std::size_t nscan = scan.size();
     const std::size_t grain = chunk_grain();
-    static obs::Counter& c_local = obs::counter("forest.scan.local_keys");
-    static obs::Counter& c_merge = obs::counter("forest.scan.merge_keys");
+    static obs::Counter& c_keys = obs::counter("forest.scan.keys");
     std::vector<gidx_t> out;
     std::vector<std::vector<gidx_t>> source_out(nscan);
-    std::vector<std::vector<RemoteBucket<Payload>>> buckets(nscan);
     parallel_over(nscan, [&](std::size_t k) {
       const std::size_t ti = scan[k].tree;
       const auto t = static_cast<tree_id_t>(ti);
@@ -1852,27 +1746,13 @@ class Forest {
       const auto& start = scan[k].start;
       const std::size_t nchunks = batch::chunk_count(start.back(), grain);
       std::vector<std::vector<gidx_t>> chunk_out(nchunks);
-      std::vector<std::vector<RemoteBucket<Payload>>> chunk_buckets(nchunks);
       parallel_chunks(start.back(), grain,
                       [&](std::size_t c, std::size_t cb, std::size_t ce) {
         if (stopped()) {
           return;
         }
         auto& mine = chunk_out[c];
-        auto& my_buckets = chunk_buckets[c];
-        auto bucket_for =
-            [&](tree_id_t target) -> std::vector<RemoteKey<Payload>>& {
-          // Linear scan: a tree has at most 3^dim - 1 distinct targets.
-          for (RemoteBucket<Payload>& bk : my_buckets) {
-            if (bk.tree == target) {
-              return bk.keys;
-            }
-          }
-          my_buckets.push_back(RemoteBucket<Payload>{target, {}});
-          return my_buckets.back().keys;
-        };
-        std::size_t local_keys = 0;
-        std::size_t merge_keys = 0;
+        std::size_t keys = 0;
         IndexedSpanStage<R> staged;
         // Source p of the tree is leaf ranges[r].first + p - start[r].
         auto r = static_cast<std::size_t>(
@@ -1929,69 +1809,20 @@ class Forest {
               }
               const quad_t key = from_canonical<R>(CanonicalQuadrant{
                   pos[0], pos[1], pos[2], static_cast<int>(l)});
-              const std::uint64_t curve = curve_key<R>(key);
-              if (target == t) {
-                ++local_keys;
-                hit(mine, ti, grid_cursor(ti, curve, key), key,
-                    Payload(from));
-              } else {
-                ++merge_keys;
-                bucket_for(target).push_back(
-                    RemoteKey<Payload>{key, curve, Payload(from)});
-              }
+              const auto to = static_cast<std::size_t>(target);
+              ++keys;
+              hit(mine, to, grid_cursor(to, curve_key<R>(key), key), key,
+                  from);
             }
           }
         }
-        if (local_keys > 0) {
-          c_local.add(local_keys);
-        }
-        if (merge_keys > 0) {
-          c_merge.add(merge_keys);
+        if (keys > 0) {
+          c_keys.add(keys);
         }
       });
       append_parts(source_out[k], chunk_out);
-      for (auto& cbk : chunk_buckets) {
-        buckets[k].insert(buckets[k].end(), std::make_move_iterator(cbk.begin()),
-                          std::make_move_iterator(cbk.end()));
-      }
-    });
-    // One serial pass groups bucket pointers per target, so the
-    // per-target workers below don't each scan every source tree
-    // (quadratic in num_trees on large bricks). Each bucket has one
-    // target, which releases it once copied.
-    const std::size_t nt = trees_.size();
-    std::vector<std::vector<std::vector<RemoteKey<Payload>>*>> incoming(nt);
-    for (auto& per_source : buckets) {
-      for (RemoteBucket<Payload>& bk : per_source) {
-        incoming[static_cast<std::size_t>(bk.tree)].push_back(&bk.keys);
-      }
-    }
-    std::vector<std::vector<gidx_t>> target_out(nt);
-    parallel_over(nt, [&](std::size_t ti) {
-      if (incoming[ti].empty() || stopped()) {
-        return;
-      }
-      std::size_t total = 0;
-      for (const auto* part : incoming[ti]) {
-        total += part->size();
-      }
-      std::vector<RemoteKey<Payload>> keys;
-      keys.reserve(total);
-      for (auto* part : incoming[ti]) {
-        keys.insert(keys.end(), part->begin(), part->end());
-        std::vector<RemoteKey<Payload>>().swap(*part);
-      }
-      std::sort(keys.begin(), keys.end(), by_curve);
-      std::vector<std::vector<gidx_t>> chunk_out(
-          batch::chunk_count(keys.size(), grain));
-      merge_sweep(ti, std::span<const RemoteKey<Payload>>(keys), grain,
-                  [&](std::size_t c, std::size_t k, std::ptrdiff_t j) {
-                    hit(chunk_out[c], ti, j, keys[k].quad, keys[k].payload);
-                  });
-      append_parts(target_out[ti], chunk_out);
     });
     append_parts(out, source_out);
-    append_parts(out, target_out);
     return out;
   }
 
@@ -2023,7 +1854,7 @@ class Forest {
       split[t].assign(trees_[t].size(), kKeep);
       again[t].assign(trees_[t].size(), 0);
     }
-    (void)neighbor_sweep<SweepSource>(
+    (void)neighbor_sweep(
         sources, neighbor_offsets(kind), 2,
         [&](std::vector<gidx_t>&, std::size_t ti, std::ptrdiff_t j,
             const quad_t& key, const SweepSource& from) {
@@ -2031,16 +1862,13 @@ class Forest {
             return;
           }
           const auto leaf = static_cast<std::size_t>(j);
-          // mo: relaxed — idempotent mark byte (chunks and targets may
-          // mark the same leaf); readers run after the regions join.
+          // mo: relaxed — idempotent mark byte (chunks may mark the same
+          // leaf); readers run after the regions join.
           std::atomic_ref<std::uint8_t>(split[ti][leaf])
               .store(kSplit, std::memory_order_relaxed);
           if (R::level(key) - R::level(trees_[ti][leaf]) >= 3) {
-            // mo: relaxed — idempotent mark byte (the targets of one
-            // source's keys may mark it concurrently); read after the join.
-            std::atomic_ref<std::uint8_t>(
-                again[static_cast<std::size_t>(from.tree)][from.leaf])
-                .store(1, std::memory_order_relaxed);
+            // A plain store: every key of a source resolves in its chunk.
+            again[static_cast<std::size_t>(from.tree)][from.leaf] = 1;
           }
         },
         [](std::vector<gidx_t>&, const SweepSource&) {});
@@ -2265,7 +2093,7 @@ class Forest {
     span.arg("swept", static_cast<std::int64_t>(swept));
     const auto offsets = neighbor_offsets(BalanceKind::kFull);
     std::vector<std::uint8_t> mirror(static_cast<std::size_t>(n), 0);
-    const std::vector<gidx_t> hits = neighbor_sweep<SweepSource>(
+    const std::vector<gidx_t> hits = neighbor_sweep(
         sources, offsets, 0,
         [&](std::vector<gidx_t>& out, std::size_t ti, std::ptrdiff_t j,
             const quad_t& key, const SweepSource& from) {
@@ -2278,10 +2106,8 @@ class Forest {
             if (t >= first && t < last) {
               return;
             }
-            // mo: relaxed — idempotent mark byte (the targets of one
-            // source's keys may mark it concurrently); read after the join.
-            std::atomic_ref<std::uint8_t>(mirror[static_cast<std::size_t>(s)])
-                .store(1, std::memory_order_relaxed);
+            // A plain store: every key of a source resolves in its chunk.
+            mirror[static_cast<std::size_t>(s)] = 1;
             // Neighboring sources often hit the same coarser leaf: drop
             // the repeat of the pair just pushed.
             const std::size_t m = out.size();

@@ -189,7 +189,9 @@ void save_forest(std::ostream& out, const Forest<R>& forest) {
 
 /// Deserialize into representation \p R (not necessarily the one that
 /// saved the stream). Throws std::runtime_error on malformed input and
-/// std::invalid_argument when the stream's levels exceed R::max_level.
+/// std::invalid_argument when the stream's levels exceed R::max_level or
+/// its connectivity is out of range (an extent below 1, or more trees than
+/// tree_id_t holds).
 template <class R>
 Forest<R> load_forest(std::istream& in) {
   using namespace io_detail;
@@ -239,7 +241,6 @@ Forest<R> load_forest(std::istream& in) {
   for (std::uint32_t t = 0; t < num_trees; ++t) {
     const auto count = read_pod<std::uint64_t>(in);
     auto& tree = trees[t];
-    tree.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
       CanonicalQuadrant c;
       c.x = read_pod<std::int64_t>(in);

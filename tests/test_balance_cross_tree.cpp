@@ -346,9 +346,8 @@ TYPED_TEST(CrossTreeBalanceT, IsBalancedStopsAtFirstViolation) {
   const test::ChunkGrainGuard chunks(16);
   const bool parallel = tree_parallelism();
   set_tree_parallelism(false);
-  const obs::Counter& local = obs::counter("forest.scan.local_keys");
-  const obs::Counter& merge = obs::counter("forest.scan.merge_keys");
-  const auto keys = [&] { return local.value() + merge.value(); };
+  const obs::Counter& scanned = obs::counter("forest.scan.keys");
+  const auto keys = [&] { return scanned.value(); };
   auto f = Forest<R>::new_uniform(Connectivity::unit(R::dim), 3);
   const std::int64_t p = (std::int64_t{1} << kCanonicalLevel) / 8 - 1;
   f.refine(true, [p](tree_id_t, const typename R::quad_t& q) {

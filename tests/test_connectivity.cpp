@@ -71,6 +71,8 @@ TEST(Connectivity, OffsetNeighborDiagonal) {
 TEST(Connectivity, InvalidArguments) {
   EXPECT_THROW(Connectivity::brick2d(0, 1), std::invalid_argument);
   EXPECT_THROW(Connectivity::brick3d(1, 1, 0), std::invalid_argument);
+  // 2^32 trees: more than tree_id_t holds.
+  EXPECT_THROW(Connectivity::brick2d(1 << 16, 1 << 16), std::invalid_argument);
 }
 
 }  // namespace

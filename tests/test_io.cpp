@@ -2,7 +2,10 @@
 /// \brief Forest serialization + representation-independent checksums:
 /// round trips, cross-representation loads, corruption rejection.
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -130,6 +133,41 @@ TEST(IoErrors, LevelBeyondRepresentationRejected) {
   std::stringstream ss;
   save_forest(ss, f);
   EXPECT_THROW(load_forest<MortonRep<3>>(ss), std::invalid_argument);
+}
+
+/// A saved 3D brick3d(2, 1, 1) stream, for the corruption cases below.
+/// Its header is magic, version, dim, three extents, three periodic flags
+/// and a pad byte, the rank count and the tree count; tree 0's leaf count
+/// follows at byte 36.
+std::string adaptive_stream() {
+  std::stringstream ss;
+  save_forest(ss, make_adaptive_forest<MortonRep<3>>());
+  return ss.str();
+}
+
+constexpr std::size_t kExtentYByte = 16;
+constexpr std::size_t kTree0CountByte = 36;
+
+TEST(IoErrors, HugeLeafCountRejected) {
+  // A count far beyond the bytes left must fail as a truncated stream,
+  // not as an allocation of that many leaves.
+  for (const int bits : {40, 62}) {
+    std::string blob = adaptive_stream();
+    const std::uint64_t count = std::uint64_t{1} << bits;
+    std::memcpy(blob.data() + kTree0CountByte, &count, sizeof count);
+    std::istringstream in(blob);
+    EXPECT_THROW(load_forest<MortonRep<3>>(in), std::runtime_error)
+        << "count 2^" << bits;
+  }
+}
+
+TEST(IoErrors, TreeCountOverflowRejected) {
+  // Bit 30 of the y extent flipped: 2 * (2^30 + 1) trees exceed
+  // tree_id_t.
+  std::string blob = adaptive_stream();
+  blob[kExtentYByte + 3] = static_cast<char>(blob[kExtentYByte + 3] ^ 0x40);
+  std::istringstream in(blob);
+  EXPECT_THROW(load_forest<MortonRep<3>>(in), std::invalid_argument);
 }
 
 TEST(IoReplaceLeaves, RejectsWrongTreeCount) {

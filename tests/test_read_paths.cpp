@@ -51,7 +51,7 @@ using test::face_fingerprint;
 
 /// Ghost sets and mirrors must match the oracle's under every kernel
 /// setting; the tiny grain makes every chunk boundary a seam the sweep
-/// must handle (span staging, cursor seeding, bucket merging). \p f keeps
+/// must handle (span staging, rank ranges, output parts). \p f keeps
 /// the rank adjacency of its first read; each setting reads a copy, which
 /// starts without it, so each runs the sweep itself.
 template <class R>
@@ -103,12 +103,33 @@ std::vector<std::pair<Connectivity, int>> brick_meshes() {
   }
 }
 
+/// A 2x1(x1) brick, periodic in x, whose tree 0 stays one root leaf (a
+/// one-cell MarkGrid) while tree 1 is refined 5 (2D) or 4 (3D) levels deep
+/// toward its -x face, which adjoins tree 0: keys of either tree land in
+/// the other at a level far from its leaves'.
+template <class R>
+Forest<R> root_beside_deep(int ranks) {
+  const int depth = R::dim == 2 ? 5 : 4;
+  auto f = Forest<R>::new_root(
+      R::dim == 2 ? Connectivity::brick2d(2, 1, true, false)
+                  : Connectivity::brick3d(2, 1, 1, true, false, false),
+      ranks);
+  f.refine(true, [depth](tree_id_t t, const typename R::quad_t& q) {
+    return t == 1 && R::level(q) < depth && to_canonical<R>(q).x == 0;
+  });
+  f.partition();
+  return f;
+}
+
 TYPED_TEST(ReadPathsT, GhostParityCrossTreeAndPeriodic) {
   using R = TypeParam;
   int ranks = 3;
   for (const auto& [conn, base] : brick_meshes<R>()) {
     expect_ghost_parity(make_refined<R>(conn, base, ranks++));
   }
+  const auto deep = root_beside_deep<R>(ranks);
+  ASSERT_EQ(deep.tree_quadrants(0).size(), 1u);
+  expect_ghost_parity(deep);
 }
 
 TEST(ReadPaths, MirrorsMatchPerRankRecomputation) {
@@ -168,11 +189,22 @@ TYPED_TEST(ReadPathsT, IterateFacesParityCrossTreeAndPeriodic) {
   for (const auto& [conn, base] : brick_meshes<R>()) {
     expect_iterate_parity(make_refined<R>(conn, base, 1));
   }
+  const auto deep = root_beside_deep<R>(1);
+  expect_iterate_parity(deep);
+  test::for_each_kernel_and_grain(2, [&] {
+    for (const BalanceKind kind : {BalanceKind::kFace, BalanceKind::kFull}) {
+      EXPECT_EQ(deep.is_balanced(kind), oracle::is_balanced(deep, kind))
+          << R::name;
+    }
+  });
 }
 
 /// Random in-domain canonical points, biased toward leaf boundaries (the
 /// half-open convention's interesting case) by snapping some coordinates
-/// to coarse grid lines.
+/// to coarse grid lines, then in every tree the points at each corner
+/// (0 or root - 1 per axis: the near and far corners among them) and at
+/// the center of each far face. The coordinate root - 1 lies in the last
+/// MarkGrid cell, whose leaf range is clamped to the tree's end.
 std::vector<PointQuery> random_points(Xoshiro256& rng, int dim,
                                       tree_id_t num_trees, std::size_t n) {
   const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
@@ -194,6 +226,21 @@ std::vector<PointQuery> random_points(Xoshiro256& rng, int dim,
     p.y = coord();
     p.z = dim == 3 ? coord() : 0;
     pts.push_back(p);
+  }
+  const int naxes = dim == 3 ? 3 : 2;
+  for (tree_id_t t = 0; t < num_trees; ++t) {
+    for (unsigned corner = 0; corner < (1u << naxes); ++corner) {
+      std::int64_t c[3] = {0, 0, 0};
+      for (int a = 0; a < naxes; ++a) {
+        c[a] = (corner >> a) & 1u ? root - 1 : 0;
+      }
+      pts.push_back(PointQuery{t, c[0], c[1], c[2]});
+    }
+    for (int a = 0; a < naxes; ++a) {
+      std::int64_t c[3] = {root / 2, root / 2, dim == 3 ? root / 2 : 0};
+      c[a] = root - 1;
+      pts.push_back(PointQuery{t, c[0], c[1], c[2]});
+    }
   }
   return pts;
 }
@@ -225,12 +272,14 @@ TYPED_TEST(ReadPathsT, SearchPointsMatchesOracle) {
 }
 
 TEST(ReadPaths, SearchPointsMultiTree) {
-  const auto f = make_refined<S2>(Connectivity::brick2d(3, 2), 2, 1);
-  Xoshiro256 rng(7);
-  const auto pts = random_points(rng, 2, f.num_trees(), 400);
-  const std::vector<gidx_t> reference = oracle::search_points(f, pts);
-  test::for_each_kernel_and_grain(
-      5, [&] { EXPECT_EQ(f.search_points(pts), reference); });
+  for (const auto& f : {make_refined<S2>(Connectivity::brick2d(3, 2), 2, 1),
+                        root_beside_deep<S2>(1)}) {
+    Xoshiro256 rng(7);
+    const auto pts = random_points(rng, 2, f.num_trees(), 400);
+    const std::vector<gidx_t> reference = oracle::search_points(f, pts);
+    test::for_each_kernel_and_grain(
+        5, [&] { EXPECT_EQ(f.search_points(pts), reference); });
+  }
 }
 
 TEST(ReadPaths, SearchPointsRejectsOutOfDomain) {
