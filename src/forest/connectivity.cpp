@@ -20,8 +20,10 @@ Connectivity::Connectivity(int dim, std::array<int, 3> extent,
   if (dim == 2 && extent_[2] != 1) {
     throw std::invalid_argument("Connectivity: 2D brick must have nz == 1");
   }
-  if (static_cast<std::int64_t>(extent_[0]) * extent_[1] * extent_[2] >
-      std::numeric_limits<tree_id_t>::max()) {
+  // Two steps: once nx * ny fits tree_id_t, times nz fits int64.
+  constexpr std::int64_t kMaxTrees = std::numeric_limits<tree_id_t>::max();
+  const std::int64_t xy = std::int64_t{extent_[0]} * extent_[1];
+  if (xy > kMaxTrees || xy * extent_[2] > kMaxTrees) {
     throw std::invalid_argument("Connectivity: too many trees");
   }
 }

@@ -73,6 +73,12 @@ TEST(Connectivity, InvalidArguments) {
   EXPECT_THROW(Connectivity::brick3d(1, 1, 0), std::invalid_argument);
   // 2^32 trees: more than tree_id_t holds.
   EXPECT_THROW(Connectivity::brick2d(1 << 16, 1 << 16), std::invalid_argument);
+  // 2^63 trees: the three-extent product overflows int64 too.
+  EXPECT_THROW(Connectivity::brick3d(1 << 30, 1 << 30, 8),
+               std::invalid_argument);
+  // nx * ny fits, times nz does not.
+  EXPECT_THROW(Connectivity::brick3d(1 << 15, 1 << 15, 1 << 30),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -145,7 +145,9 @@ std::string adaptive_stream() {
   return ss.str();
 }
 
+constexpr std::size_t kExtentXByte = 12;
 constexpr std::size_t kExtentYByte = 16;
+constexpr std::size_t kExtentZByte = 20;
 constexpr std::size_t kTree0CountByte = 36;
 
 TEST(IoErrors, HugeLeafCountRejected) {
@@ -168,6 +170,15 @@ TEST(IoErrors, TreeCountOverflowRejected) {
   blob[kExtentYByte + 3] = static_cast<char>(blob[kExtentYByte + 3] ^ 0x40);
   std::istringstream in(blob);
   EXPECT_THROW(load_forest<MortonRep<3>>(in), std::invalid_argument);
+
+  // Bit 30 flipped in all three extents: the product of the three is
+  // near 2^90, beyond int64 as well.
+  blob = adaptive_stream();
+  for (const std::size_t at : {kExtentXByte, kExtentYByte, kExtentZByte}) {
+    blob[at + 3] = static_cast<char>(blob[at + 3] ^ 0x40);
+  }
+  std::istringstream in3(blob);
+  EXPECT_THROW(load_forest<MortonRep<3>>(in3), std::invalid_argument);
 }
 
 TEST(IoReplaceLeaves, RejectsWrongTreeCount) {
